@@ -45,7 +45,7 @@ func main() {
 	knn := flag.Int("knn", 0, "print the k registered hosts estimated closest to this one (one round trip)")
 	listen := flag.String("listen", "", "also answer echo probes on this address, so other hosts can use this one as a §5.2 reference point (keeps running)")
 	timeout := flag.Duration("timeout", 30*time.Second, "overall timeout")
-	poolFlags := cli.RegisterPoolFlags(flag.CommandLine, 4, 16, 60*time.Second, "keep below the server's -idle-timeout")
+	poolFlags := cli.RegisterPoolFlags(flag.CommandLine, 4, 60*time.Second, "keep below the server's -idle-timeout")
 	metricsFlags := cli.RegisterMetricsFlags(flag.CommandLine, "connection-pool and failover counters; useful with -listen")
 	flag.Parse()
 

@@ -31,7 +31,7 @@ func main() {
 	interval := flag.Duration("interval", time.Minute, "measurement round interval")
 	samples := flag.Int("samples", 4, "echo probes per peer per round (minimum is reported)")
 	once := flag.Bool("once", false, "measure and report a single round, then exit; no echo service is started, so peers must be running persistent landmarks for the probes to succeed (e.g. a cron-driven extra report cadence on top of a persistent fleet)")
-	poolFlags := cli.RegisterPoolFlags(flag.CommandLine, 2, 4, 2*time.Minute, "keep below the server's -idle-timeout; reports arrive every -interval, so a pool idle budget above it keeps one warm connection across rounds")
+	poolFlags := cli.RegisterPoolFlags(flag.CommandLine, 2, 2*time.Minute, "keep below the server's -idle-timeout; reports arrive every -interval, so a pool idle budget above it keeps one warm connection across rounds")
 	metricsFlags := cli.RegisterMetricsFlags(flag.CommandLine, "connection-pool counters")
 	flag.Parse()
 

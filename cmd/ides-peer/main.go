@@ -47,7 +47,7 @@ func main() {
 	sampleSize := flag.Int("sample-size", 0, "neighbor entries gossiped per exchange (0 = default 3)")
 	announceEvery := flag.Int("announce-every", 0, "re-announce to a rendezvous every this many rounds (0 = default 16, negative = only when the table empties)")
 	pingSamples := flag.Int("ping-samples", 0, "echo probes per RTT measurement, minimum wins (0 = default 1)")
-	poolFlags := cli.RegisterPoolFlags(flag.CommandLine, 2, 4, 2*time.Minute, "keep above -interval so warm connections survive between rounds")
+	poolFlags := cli.RegisterPoolFlags(flag.CommandLine, 2, 2*time.Minute, "keep above -interval so warm connections survive between rounds")
 	metricsFlags := cli.RegisterMetricsFlags(flag.CommandLine, "gossip round, churn and drift gauges")
 	flag.Parse()
 

@@ -130,7 +130,6 @@ func runChurn(scale experiments.Scale, seed int64) error {
 	pool, err := transport.NewPool(transport.PoolConfig{
 		Dialer:         dialer,
 		MaxIdlePerHost: *poolFlags.MaxIdle,
-		MaxPerHost:     *poolFlags.MaxPerHost,
 		IdleTimeout:    *poolFlags.IdleTimeout,
 	})
 	if err != nil {

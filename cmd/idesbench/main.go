@@ -39,7 +39,7 @@ import (
 
 // Pool tuning shared by the network workloads (churn, pool, cluster).
 var (
-	poolFlags   = cli.RegisterPoolFlags(flag.CommandLine, 4, 16, 60*time.Second, "")
+	poolFlags   = cli.RegisterPoolFlags(flag.CommandLine, 4, 60*time.Second, "")
 	metricsAddr = flag.String("metrics-addr", "", "serve the running workload's metrics on this address at /metrics (empty = disabled)")
 )
 

@@ -106,7 +106,6 @@ func runPool(scale experiments.Scale, seed int64) error {
 	pool, err := transport.NewPool(transport.PoolConfig{
 		Dialer:         dialer,
 		MaxIdlePerHost: *poolFlags.MaxIdle,
-		MaxPerHost:     *poolFlags.MaxPerHost,
 		IdleTimeout:    *poolFlags.IdleTimeout,
 		MuxConns:       *poolFlags.MuxConns,
 		MuxMaxInflight: *poolFlags.MuxMaxInflight,
@@ -213,7 +212,6 @@ func runPool(scale experiments.Scale, seed int64) error {
 		cfg := transport.PoolConfig{
 			Dialer:         dialer,
 			MaxIdlePerHost: clients,
-			MaxPerHost:     clients,
 			IdleTimeout:    *poolFlags.IdleTimeout,
 			MuxConns:       -1,
 		}

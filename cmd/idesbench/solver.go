@@ -211,7 +211,6 @@ func runSolverSide(kind solve.Kind, p solverParams, seed int64) (solverSideResul
 	pool, err := transport.NewPool(transport.PoolConfig{
 		Dialer:         &net.Dialer{Timeout: 5 * time.Second},
 		MaxIdlePerHost: *poolFlags.MaxIdle,
-		MaxPerHost:     *poolFlags.MaxPerHost,
 		IdleTimeout:    *poolFlags.IdleTimeout,
 	})
 	if err != nil {

@@ -48,17 +48,19 @@
 //     heap allocations end to end — enforced in CI by
 //     TestPointQueryZeroAlloc and itemized per layer by BenchmarkAllocs;
 //   - the pooled transport (NewPool): clients and landmark agents carry
-//     every exchange over keep-alive connections reused per address — with
-//     idle reaping, per-host caps, per-call deadline reset, and one
-//     transparent retry when a pooled connection died idle — while the
-//     server runs idle waits and in-flight requests on separate timeout
-//     budgets (Config.IdleTimeout vs Config.RequestTimeout);
+//     every exchange over keep-alive connections reused per address, under
+//     one of two disciplines fixed at construction — a multiplexed set
+//     (the default) or lockstep connections from a capped idle list with
+//     idle expiry at checkout (MuxConns < 0) — with one transparent retry
+//     when a pooled connection died, while the server runs idle waits and
+//     in-flight requests on separate timeout budgets (Config.IdleTimeout
+//     vs Config.RequestTimeout);
 //   - multiplexed v2 framing negotiated per connection (Hello/HelloAck):
 //     many streams in flight over one connection, client-side write
 //     coalescing, concurrent server dispatch behind a negotiated stream
 //     window with per-stream Overloaded backpressure, per-call
-//     cancellation that kills a stream rather than the connection, and
-//     transparent lockstep fallback against pre-mux peers — ~3.5x the
+//     cancellation that kills a stream rather than the connection; a
+//     refused Hello fails the call rather than downgrading — ~3.5x the
 //     64-client point-query throughput of one-inflight-per-conn framing
 //     (idesbench -exp pool, BENCH_pool.json);
 //   - the horizontal serving tier (Config.Role): a leader owns the model

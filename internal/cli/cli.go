@@ -73,26 +73,24 @@ func SignalContext() (context.Context, context.CancelFunc) {
 // PoolFlags is the connection-pool tuning flag group.
 type PoolFlags struct {
 	MaxIdle        *int
-	MaxPerHost     *int
 	IdleTimeout    *time.Duration
 	MuxConns       *int
 	MuxMaxInflight *int
 }
 
-// RegisterPoolFlags installs -pool-max-idle, -pool-max-per-host,
-// -pool-idle-timeout, -mux-conns and -mux-max-inflight on fs with the
-// given defaults. idleHelp extends the idle-timeout help text with
-// binary-specific guidance.
-func RegisterPoolFlags(fs *flag.FlagSet, maxIdle, maxPerHost int, idleTimeout time.Duration, idleHelp string) *PoolFlags {
-	help := "close pooled connections idle longer than this"
+// RegisterPoolFlags installs -pool-max-idle, -pool-idle-timeout,
+// -mux-conns and -mux-max-inflight on fs with the given defaults.
+// idleHelp extends the idle-timeout help text with binary-specific
+// guidance.
+func RegisterPoolFlags(fs *flag.FlagSet, maxIdle int, idleTimeout time.Duration, idleHelp string) *PoolFlags {
+	help := "close lockstep pooled connections idle longer than this"
 	if idleHelp != "" {
 		help += " (" + idleHelp + ")"
 	}
 	return &PoolFlags{
-		MaxIdle:        fs.Int("pool-max-idle", maxIdle, "idle pooled connections kept per address"),
-		MaxPerHost:     fs.Int("pool-max-per-host", maxPerHost, "total pooled connections per address (negative = unlimited)"),
+		MaxIdle:        fs.Int("pool-max-idle", maxIdle, "idle lockstep connections kept per address (negative = dial per call)"),
 		IdleTimeout:    fs.Duration("pool-idle-timeout", idleTimeout, help),
-		MuxConns:       fs.Int("mux-conns", 0, "multiplexed connections per address (0 = default 2, negative = disable multiplexing and use lockstep framing only)"),
+		MuxConns:       fs.Int("mux-conns", 0, "multiplexed connections per address (0 = default 2, negative = use lockstep connections instead; the server must speak multiplexed framing otherwise)"),
 		MuxMaxInflight: fs.Int("mux-max-inflight", 0, "in-flight streams this client offers per multiplexed connection; the server may negotiate it down (0 = default 256)"),
 	}
 }
@@ -102,7 +100,6 @@ func (pf *PoolFlags) Config(d transport.Dialer) transport.PoolConfig {
 	return transport.PoolConfig{
 		Dialer:         d,
 		MaxIdlePerHost: *pf.MaxIdle,
-		MaxPerHost:     *pf.MaxPerHost,
 		IdleTimeout:    *pf.IdleTimeout,
 		MuxConns:       *pf.MuxConns,
 		MuxMaxInflight: *pf.MuxMaxInflight,

@@ -3,11 +3,11 @@ package landmark
 import (
 	"context"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/ides-go/ides/internal/simnet"
+	"github.com/ides-go/ides/internal/testutil"
 	"github.com/ides-go/ides/internal/topology"
 	"github.com/ides-go/ides/internal/transport"
 	"github.com/ides-go/ides/internal/wire"
@@ -190,29 +190,12 @@ func TestRunReportsPeriodically(t *testing.T) {
 		t.Fatal(err)
 	}
 	reports := make(chan struct{}, 64)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					typ, _, err := wire.ReadFrame(c)
-					if err != nil {
-						return
-					}
-					if typ == wire.TypeReportRTT {
-						reports <- struct{}{}
-					}
-					if err := wire.WriteFrame(c, wire.TypeAck, nil); err != nil {
-						return
-					}
-				}
-			}(conn)
+	testutil.MuxServer(t, ln, 0, func(typ wire.MsgType, _ []byte) (wire.MsgType, []byte) {
+		if typ == wire.TypeReportRTT {
+			reports <- struct{}{}
 		}
-	}()
+		return wire.TypeAck, nil
+	})
 
 	lmHost, err := nw.Host(names[0])
 	if err != nil {
@@ -252,21 +235,6 @@ func TestRunReportsPeriodically(t *testing.T) {
 	}
 }
 
-// acceptCounter counts accepted connections (to prove pooled reports
-// reuse one connection across rounds).
-type acceptCounter struct {
-	net.Listener
-	accepts atomic.Int64
-}
-
-func (l *acceptCounter) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err == nil {
-		l.accepts.Add(1)
-	}
-	return c, err
-}
-
 func TestReportOncePoolsServerConnection(t *testing.T) {
 	// A fake server that Acks every report, counting connections; several
 	// report rounds must share one pooled connection.
@@ -275,37 +243,13 @@ func TestReportOncePoolsServerConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { base.Close() })
-	ln := &acceptCounter{Listener: base}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					typ, _, err := wire.ReadFrame(c)
-					if err != nil {
-						return
-					}
-					if typ != wire.TypeReportRTT {
-						// Per the wire evolution policy, unknown types get
-						// an error frame (this is what lets mux-capable
-						// clients downgrade to lockstep cleanly).
-						e := &wire.Error{Code: wire.CodeUnknownType, Text: "nope"}
-						if err := wire.WriteFrame(c, wire.TypeError, e.Encode(nil)); err != nil {
-							return
-						}
-						continue
-					}
-					if err := wire.WriteFrame(c, wire.TypeAck, nil); err != nil {
-						return
-					}
-				}
-			}(conn)
+	ln := &testutil.CountingListener{Listener: base}
+	testutil.MuxServer(t, ln, 0, func(typ wire.MsgType, _ []byte) (wire.MsgType, []byte) {
+		if typ != wire.TypeReportRTT {
+			return wire.TypeError, (&wire.Error{Code: wire.CodeUnknownType, Text: "nope"}).Encode(nil)
 		}
-	}()
+		return wire.TypeAck, nil
+	})
 
 	// Echo peer so MeasureOnce succeeds.
 	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -347,7 +291,7 @@ func TestReportOncePoolsServerConnection(t *testing.T) {
 			t.Fatalf("round %d: %v", i, err)
 		}
 	}
-	if got := ln.accepts.Load(); got != 1 {
+	if got := ln.Accepts(); got != 1 {
 		t.Fatalf("%d report rounds opened %d server connections, want 1 pooled", rounds, got)
 	}
 }

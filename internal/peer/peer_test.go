@@ -10,6 +10,7 @@ import (
 	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/topology"
 	"github.com/ides-go/ides/internal/transport"
+	"github.com/ides-go/ides/internal/wire"
 )
 
 // fleet is a small all-peer simnet deployment for tests: every host
@@ -331,5 +332,33 @@ func TestServeRejectsUnknownType(t *testing.T) {
 	_, _, err = pool.Call(context.Background(), f.names[1], 0x42, nil)
 	if err == nil {
 		t.Fatal("unknown type accepted")
+	}
+}
+
+// TestServeMultiplexesDefaultPool is the regression test for the
+// HelloAck framing: Serve used to frame its HelloAck in v2, which no
+// client could read, so every default-config call probed mux, failed
+// and redialed in lockstep. Now N calls share one multiplexed
+// connection.
+func TestServeMultiplexesDefaultPool(t *testing.T) {
+	f := newFleet(t, 2, 23, nil)
+	h, err := f.nw.Host(f.names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := transport.NewPool(transport.PoolConfig{Dialer: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	const calls = 10
+	for i := 0; i < calls; i++ {
+		ping := (&wire.Ping{Token: uint64(i + 1)}).Encode(nil)
+		if typ, _, err := pool.Call(context.Background(), f.names[1], wire.TypePing, ping); err != nil || typ != wire.TypePong {
+			t.Fatalf("call %d: type %v err %v", i, typ, err)
+		}
+	}
+	if st, ms := pool.Stats(), pool.MuxStats(); st.Dials != 1 || ms.Frames != calls {
+		t.Fatalf("pool stats %+v, mux stats %+v: want 1 dial and %d mux frames", st, ms, calls)
 	}
 }

@@ -23,7 +23,7 @@ const muxWindow = 64
 // expects: Ping/Pong for RTT measurement, GossipExchange for
 // coordinate exchange, and the Hello/HelloAck handshake upgrading a
 // connection to multiplexed framing. Unknown types get CodeUnknownType
-// errors, which downgrades mux-probing dialers cleanly on old peers.
+// errors.
 func (p *Peer) Serve(ctx context.Context, ln net.Listener) error {
 	done := make(chan struct{})
 	defer close(done)
@@ -70,6 +70,9 @@ func (p *Peer) serveConn(ctx context.Context, conn net.Conn) {
 			}
 			return
 		}
+		// The framing of this reply is the one the request came in: the
+		// HelloAck still goes out in v1, and v2 starts with the next frame.
+		replyMux := mux
 		var respT wire.MsgType
 		var resp []byte
 		if t == wire.TypeHello {
@@ -88,7 +91,7 @@ func (p *Peer) serveConn(ctx context.Context, conn net.Conn) {
 		} else {
 			respT, resp = p.dispatch(t, payload)
 		}
-		if mux {
+		if replyMux {
 			out = wire.AppendMuxFrame(out[:0], respT, stream, resp)
 		} else {
 			out = wire.AppendFrame(out[:0], respT, resp)

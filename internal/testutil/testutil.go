@@ -1,9 +1,9 @@
 // Package testutil holds the network test helpers that were once
 // copy-pasted across the transport, client and server test suites:
-// loopback listeners, a minimal wire echo server, accept-counting and
-// connection-tracking listener wrappers, and a stub pinger. It imports
-// only net and wire, so every internal package's tests can use it
-// without import cycles.
+// loopback listeners, a minimal server speaking both wire framings,
+// accept-counting and connection-tracking listener wrappers, and a stub
+// pinger. It imports only net and wire, so every internal package's
+// tests can use it without import cycles.
 package testutil
 
 import (
@@ -29,73 +29,16 @@ func Loopback(t testing.TB) net.Listener {
 	return ln
 }
 
-// EchoServer answers Ping with Pong and GetInfo with a fixed Info on
-// every connection accepted from ln; other types get a wire error. It
-// runs until the listener closes.
-func EchoServer(t testing.TB, ln net.Listener) {
+// MuxServer serves every connection accepted from ln the way the real
+// server does: a Hello upgrades the connection to the v2 multiplexed
+// framing (HelloAck echoes the client's window, capped at maxInflight
+// when positive), after which every request is answered on its own
+// stream; requests arriving before a Hello are answered in v1 lockstep.
+// answer maps each request to its reply; it runs sequentially per
+// connection and must not retain payload. It runs until the listener
+// closes.
+func MuxServer(t testing.TB, ln net.Listener, maxInflight int, answer func(wire.MsgType, []byte) (wire.MsgType, []byte)) {
 	t.Helper()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					typ, payload, err := wire.ReadFrame(c)
-					if err != nil {
-						return
-					}
-					switch typ {
-					case wire.TypePing:
-						p, err := wire.DecodePing(payload)
-						if err != nil {
-							return
-						}
-						if err := wire.WriteFrame(c, wire.TypePong, (&wire.Pong{Token: p.Token}).Encode(nil)); err != nil {
-							return
-						}
-					case wire.TypeGetInfo:
-						info := &wire.Info{Dim: 10, NumLandmarks: 20, Algorithm: "SVD", ModelReady: true}
-						if err := wire.WriteFrame(c, wire.TypeInfo, info.Encode(nil)); err != nil {
-							return
-						}
-					default:
-						e := &wire.Error{Code: wire.CodeUnknownType, Text: "nope"}
-						if err := wire.WriteFrame(c, wire.TypeError, e.Encode(nil)); err != nil {
-							return
-						}
-					}
-				}
-			}(conn)
-		}
-	}()
-}
-
-// MuxEchoServer answers like EchoServer but speaks the v2 multiplexed
-// framing: a Hello upgrades the connection (HelloAck echoes the
-// client's window, capped at maxInflight when positive), after which
-// every request is answered on its own stream. Requests arriving before
-// a Hello are answered in v1 lockstep, so the same helper exercises the
-// downgrade-free path too. It runs until the listener closes.
-func MuxEchoServer(t testing.TB, ln net.Listener, maxInflight int) {
-	t.Helper()
-	answer := func(typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
-		switch typ {
-		case wire.TypePing:
-			p, err := wire.DecodePing(payload)
-			if err != nil {
-				return wire.TypeError, (&wire.Error{Code: wire.CodeBadRequest, Text: err.Error()}).Encode(nil)
-			}
-			return wire.TypePong, (&wire.Pong{Token: p.Token}).Encode(nil)
-		case wire.TypeGetInfo:
-			info := &wire.Info{Dim: 10, NumLandmarks: 20, Algorithm: "SVD", ModelReady: true}
-			return wire.TypeInfo, info.Encode(nil)
-		default:
-			return wire.TypeError, (&wire.Error{Code: wire.CodeUnknownType, Text: "nope"}).Encode(nil)
-		}
-	}
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -149,6 +92,29 @@ func MuxEchoServer(t testing.TB, ln net.Listener, maxInflight int) {
 	}()
 }
 
+// MuxEchoServer is a MuxServer that answers Ping with Pong and GetInfo
+// with a fixed Info; other types get a wire error.
+func MuxEchoServer(t testing.TB, ln net.Listener, maxInflight int) {
+	t.Helper()
+	MuxServer(t, ln, maxInflight, echo)
+}
+
+func echo(typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+	switch typ {
+	case wire.TypePing:
+		p, err := wire.DecodePing(payload)
+		if err != nil {
+			return wire.TypeError, (&wire.Error{Code: wire.CodeBadRequest, Text: err.Error()}).Encode(nil)
+		}
+		return wire.TypePong, (&wire.Pong{Token: p.Token}).Encode(nil)
+	case wire.TypeGetInfo:
+		info := &wire.Info{Dim: 10, NumLandmarks: 20, Algorithm: "SVD", ModelReady: true}
+		return wire.TypeInfo, info.Encode(nil)
+	default:
+		return wire.TypeError, (&wire.Error{Code: wire.CodeUnknownType, Text: "nope"}).Encode(nil)
+	}
+}
+
 // CountingListener wraps a listener and counts accepted connections,
 // so tests can prove pooled transports reuse connections instead of
 // dialing per call.
@@ -169,12 +135,12 @@ func (l *CountingListener) Accept() (net.Conn, error) {
 // Accepts returns how many connections have been accepted.
 func (l *CountingListener) Accepts() int64 { return l.accepts.Load() }
 
-// CountingEcho starts an EchoServer behind a CountingListener on a
+// CountingEcho starts a MuxEchoServer behind a CountingListener on a
 // fresh loopback port and returns the listener and its address.
 func CountingEcho(t testing.TB) (*CountingListener, string) {
 	t.Helper()
 	ln := &CountingListener{Listener: Loopback(t)}
-	EchoServer(t, ln)
+	MuxEchoServer(t, ln, 0)
 	return ln, ln.Addr().String()
 }
 

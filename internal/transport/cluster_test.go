@@ -86,7 +86,7 @@ func TestClusterPoolFailover(t *testing.T) {
 	ln1 := testutil.Loopback(t)
 	addr1 := ln1.Addr().String()
 	tracking := &testutil.TrackingListener{Listener: ln1}
-	testutil.EchoServer(t, tracking)
+	testutil.MuxEchoServer(t, tracking, 0)
 	_, addr2 := testutil.CountingEcho(t)
 
 	cp := newTestCluster(t, []string{addr1, addr2}, ClusterConfig{
@@ -124,7 +124,7 @@ func TestClusterPoolReprobe(t *testing.T) {
 	ln1 := testutil.Loopback(t)
 	addr1 := ln1.Addr().String()
 	tracking := &testutil.TrackingListener{Listener: ln1}
-	testutil.EchoServer(t, tracking)
+	testutil.MuxEchoServer(t, tracking, 0)
 	_, addr2 := testutil.CountingEcho(t)
 
 	cp := newTestCluster(t, []string{addr1, addr2}, ClusterConfig{
@@ -151,7 +151,7 @@ func TestClusterPoolReprobe(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr1, err)
 	}
 	t.Cleanup(func() { ln2.Close() })
-	testutil.EchoServer(t, ln2)
+	testutil.MuxEchoServer(t, ln2, 0)
 	deadline = time.Now().Add(5 * time.Second)
 	for !cp.Health()[addr1] {
 		if time.Now().After(deadline) {
@@ -233,7 +233,7 @@ func TestClusterPoolMetrics(t *testing.T) {
 func TestPoolEndpointStats(t *testing.T) {
 	_, addr1 := testutil.CountingEcho(t)
 	_, addr2 := testutil.CountingEcho(t)
-	p := newTestPool(t, PoolConfig{})
+	p := newTestPool(t, PoolConfig{MuxConns: -1})
 	poolPing(t, p, addr1, 1)
 	poolPing(t, p, addr1, 2)
 	poolPing(t, p, addr2, 3)
@@ -258,7 +258,7 @@ func TestPoolEndpointStats(t *testing.T) {
 // must appear in the registry, and keep counting after.
 func TestPoolMetricsBackfill(t *testing.T) {
 	_, addr := testutil.CountingEcho(t)
-	p := newTestPool(t, PoolConfig{})
+	p := newTestPool(t, PoolConfig{MuxConns: -1})
 	poolPing(t, p, addr, 1)
 	reg := telemetry.NewRegistry()
 	p.RegisterMetrics(reg)

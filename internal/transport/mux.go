@@ -24,11 +24,6 @@ const DefaultMuxInflight = 256
 // 65535 concurrent streams — far beyond any sane window.
 const muxMaxSlots = 1 << 16
 
-// ErrMuxUnsupported reports that the peer answered the Hello handshake
-// with an error frame — it predates the v2 multiplexed framing. The
-// connection is still healthy and usable in v1 lockstep mode.
-var ErrMuxUnsupported = errors.New("transport: peer does not support multiplexed framing")
-
 // errMuxClosed is the terminal error of a deliberately closed MuxConn.
 var errMuxClosed = errors.New("transport: mux connection closed")
 
@@ -62,8 +57,7 @@ type muxSlot struct {
 // connection dead.
 //
 // Create with NewMuxConn, which performs the Hello/HelloAck feature
-// handshake; a peer that predates the v2 framing yields
-// ErrMuxUnsupported and the caller falls back to lockstep exchanges.
+// handshake.
 type MuxConn struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -104,9 +98,9 @@ type MuxConn struct {
 // reader and writer goroutines. maxInflight is the desired stream
 // window (0 = DefaultMuxInflight); the effective window is the minimum
 // of it and the server's advertised cap. The handshake runs under ctx's
-// deadline. On ErrMuxUnsupported the connection has completed a clean
-// v1 exchange and remains usable in lockstep mode; on any other error
-// its state is unknown and the caller should close it.
+// deadline. A peer that answers Hello with anything but a v2 HelloAck
+// — an error frame included — fails the handshake; on error the
+// connection's state is unknown and the caller should close it.
 func NewMuxConn(ctx context.Context, conn net.Conn, maxInflight int) (*MuxConn, error) {
 	if maxInflight <= 0 {
 		maxInflight = DefaultMuxInflight
@@ -119,10 +113,9 @@ func NewMuxConn(ctx context.Context, conn net.Conn, maxInflight int) (*MuxConn, 
 	rt, rp, _, err := roundtripInto(ctx, conn, br, wire.TypeHello, hello.Encode(nil), nil)
 	if err != nil {
 		if isWireError(err) {
-			// The peer parsed the frame and refused the type: a pre-mux
-			// server. The exchange completed cleanly, so the connection
-			// is good for v1 lockstep use.
-			return nil, ErrMuxUnsupported
+			// %v, not %w: a refused Hello fails the connection, so the
+			// error frame must not read as one from a usable connection.
+			return nil, fmt.Errorf("transport: mux handshake refused: %v", err)
 		}
 		return nil, fmt.Errorf("transport: mux handshake: %w", err)
 	}
@@ -134,7 +127,7 @@ func NewMuxConn(ctx context.Context, conn net.Conn, maxInflight int) (*MuxConn, 
 		return nil, fmt.Errorf("transport: mux handshake: %w", err)
 	}
 	if ack.Version != wire.VersionMux {
-		return nil, ErrMuxUnsupported
+		return nil, fmt.Errorf("transport: mux handshake negotiated version %d, want %d", ack.Version, wire.VersionMux)
 	}
 	if ack.MaxInflight > 0 && int(ack.MaxInflight) < maxInflight {
 		maxInflight = int(ack.MaxInflight)

@@ -166,32 +166,51 @@ func TestMuxConnMidStreamReset(t *testing.T) {
 	}
 }
 
-// TestMuxConnHandshakeDowngrade checks the v1 fallback: a pre-mux
-// server answers Hello with an error frame, NewMuxConn reports
-// ErrMuxUnsupported, and the connection stays healthy for lockstep use.
-func TestMuxConnHandshakeDowngrade(t *testing.T) {
-	ln := testutil.Loopback(t)
-	testutil.EchoServer(t, ln)
+// TestPoolHelloRefusalFailsCall: a server that answers Hello with an
+// error frame fails the call like a failed dial — one connection, one
+// frame, no lockstep retry on the same or a fresh connection.
+func TestPoolHelloRefusalFailsCall(t *testing.T) {
+	ln := &testutil.CountingListener{Listener: testutil.Loopback(t)}
+	var frames atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				for {
+					if _, _, err := wire.ReadFrame(c); err != nil {
+						return
+					}
+					frames.Add(1)
+					e := &wire.Error{Code: wire.CodeUnknownType, Text: "nope"}
+					if err := wire.WriteFrame(c, wire.TypeError, e.Encode(nil)); err != nil {
+						return
+					}
+				}
+			}(conn)
+		}
+	}()
+	p := newTestPool(t, PoolConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	_, _, err := p.Call(ctx, ln.Addr().String(), wire.TypePing, (&wire.Ping{Token: 1}).Encode(nil))
+	if err == nil {
+		t.Fatal("call through a refused Hello succeeded")
 	}
-	defer conn.Close()
-	if _, err := NewMuxConn(ctx, conn, 0); !errors.Is(err, ErrMuxUnsupported) {
-		t.Fatalf("handshake with v1 server: %v, want ErrMuxUnsupported", err)
+	var werr *wire.Error
+	if errors.As(err, &werr) {
+		t.Fatalf("refused handshake %v must not read as an error frame from a usable connection", err)
 	}
-	// The same connection must still complete a v1 exchange.
-	typ, payload, err := Roundtrip(ctx, conn, wire.TypePing, (&wire.Ping{Token: 9}).Encode(nil))
-	if err != nil {
-		t.Fatalf("lockstep call after downgrade: %v", err)
+	if st := p.Stats(); st.Dials != 1 || st.Retries != 0 {
+		t.Fatalf("stats %+v, want exactly one dial and no retry", st)
 	}
-	if typ != wire.TypePong {
-		t.Fatalf("type %v", typ)
-	}
-	if pong, err := wire.DecodePong(payload); err != nil || pong.Token != 9 {
-		t.Fatalf("pong %+v err %v", pong, err)
+	// Let a stray second frame (a lockstep replay) land before counting.
+	time.Sleep(50 * time.Millisecond)
+	if got, n := ln.Accepts(), frames.Load(); got != 1 || n != 1 {
+		t.Fatalf("server saw %d connections and %d frames, want only the Hello", got, n)
 	}
 }
 
@@ -354,53 +373,5 @@ func TestPoolMuxRouting(t *testing.T) {
 	st := p.Stats()
 	if st.Reuses != callers*calls {
 		t.Fatalf("stats %+v: want all %d calls counted as reuses of the mux conns", st, callers*calls)
-	}
-}
-
-// TestPoolSlotQueueFIFO is the regression test for the broadcast waiter
-// bug: with one slot and a queue of blocked callers, slots must hand
-// off to the oldest waiter — no barging, no starvation — so completion
-// order matches arrival order.
-func TestPoolSlotQueueFIFO(t *testing.T) {
-	ln := testutil.Loopback(t)
-	testutil.EchoServer(t, ln)
-	addr := ln.Addr().String()
-	p := newTestPool(t, PoolConfig{MaxPerHost: 1, MaxIdlePerHost: 1, MuxConns: -1})
-
-	// Occupy the only slot so every later caller queues.
-	hold, _, err := p.get(context.Background(), addr, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const waiters = 8
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			pc, _, err := p.get(ctx, addr, false)
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-				return
-			}
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			p.put(addr, pc)
-		}(i)
-		// Stagger arrivals so the queue order is deterministic.
-		time.Sleep(20 * time.Millisecond)
-	}
-	p.put(addr, hold)
-	wg.Wait()
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("slot grant order %v, want FIFO arrival order", order)
-		}
 	}
 }

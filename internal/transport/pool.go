@@ -19,28 +19,26 @@ type PoolConfig struct {
 	// Dialer opens new connections (required). *net.Dialer and
 	// *simnet.Host both work.
 	Dialer Dialer
-	// MaxIdlePerHost caps how many idle connections are kept per address;
-	// surplus connections are closed when returned. Default 4.
+	// MaxIdlePerHost caps how many idle lockstep connections are kept per
+	// address; surplus connections are closed when returned. Default 4.
+	// Negative keeps none, so every lockstep call dials. Unused by the
+	// multiplexed discipline.
 	MaxIdlePerHost int
-	// MaxPerHost caps the total connections (checked out + idle) per
-	// address; callers beyond the cap wait for one to free up. Default 16.
-	// Negative means unlimited.
-	MaxPerHost int
-	// IdleTimeout closes connections that sit unused in the pool longer
-	// than this. It should stay below the server's own idle budget so the
-	// pool retires connections before the peer does. Default 60s.
+	// IdleTimeout retires lockstep connections that sat idle longer than
+	// this: they are closed at the next checkout instead of reused. It
+	// should stay below the server's own idle budget so the pool retires
+	// connections before the peer does. Default 60s.
 	IdleTimeout time.Duration
 	// CallTimeout bounds a Call whose context carries no deadline of its
 	// own. Default 15s. Negative disables the fallback.
 	CallTimeout time.Duration
 	// MuxConns is how many multiplexed (v2 framing) connections the pool
-	// maintains per address when the peer speaks them: calls fill the
-	// first connection under half its stream window (concentrating
-	// streams where write coalescing pays), spill to the least-loaded
-	// one past that, and the set grows lazily up to this cap as spill
-	// load appears. Mux connections are a separate fixed set outside the
-	// MaxPerHost accounting. Default 2. Negative disables multiplexing —
-	// every call then uses a v1 lockstep connection.
+	// maintains per address: calls fill the first connection under half
+	// its stream window (concentrating streams where write coalescing
+	// pays), spill to the least-loaded one past that, and the set grows
+	// lazily up to this cap as spill load appears. Default 2. Negative
+	// selects the lockstep discipline instead: one v1 exchange at a time
+	// per connection, from an idle list bounded by MaxIdlePerHost.
 	MuxConns int
 	// MuxMaxInflight is the in-flight stream window requested per mux
 	// connection; the server may negotiate it down. Default 256.
@@ -50,9 +48,6 @@ type PoolConfig struct {
 func (c PoolConfig) withDefaults() PoolConfig {
 	if c.MaxIdlePerHost == 0 {
 		c.MaxIdlePerHost = 4
-	}
-	if c.MaxPerHost == 0 {
-		c.MaxPerHost = 16
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 60 * time.Second
@@ -77,27 +72,35 @@ type PoolStats struct {
 	Reuses  int64
 	Retries int64
 	// Discards counts connections dropped for any reason: broken during a
-	// call, reaped after idling out, or surplus over MaxIdlePerHost.
+	// call, idled out, or surplus over MaxIdlePerHost.
 	Discards int64
 	// Idle is the number of connections currently parked in the pool
 	// across all hosts — a point-in-time gauge, not a lifetime counter.
 	Idle int
 }
 
+// errPoolClosed fails calls on a closed Pool.
+var errPoolClosed = errors.New("transport: pool is closed")
+
 // Pool is a client-side connection pool for the IDES request/response
 // protocol. Call performs one exchange over a pooled persistent
-// connection instead of dialing per request: connections are kept per
-// address, reused LIFO (the warmest connection first), reaped after
-// IdleTimeout, and capped both in how many may exist per address
-// (MaxPerHost) and how many may sit idle (MaxIdlePerHost).
+// connection instead of dialing per request, under one of two
+// disciplines fixed at construction:
 //
-// Server.handleConn serves any number of frames per connection, so a
-// pooled connection stays valid until the server's idle budget expires
-// it. A reused connection can always have died while idle (server
-// restart, idle eviction, middlebox timeout); Call transparently retries
-// exactly once on a fresh connection when that happens. All IDES
-// exchanges are idempotent request/response pairs, so the single replay
-// is safe.
+//   - multiplexed (the default): a small per-address set of MuxConns,
+//     each carrying many concurrent streams. Every connection opens
+//     with the Hello handshake; a peer that refuses it fails the call
+//     the way a failed dial does.
+//   - lockstep (MuxConns < 0): one v1 exchange at a time per
+//     connection, reused LIFO (the warmest connection first) from an
+//     idle list capped at MaxIdlePerHost and aged out by IdleTimeout.
+//
+// The server serves any number of frames per connection, so a pooled
+// connection stays valid until the server's idle budget expires it. A
+// reused connection can always have died meanwhile (server restart,
+// idle eviction, middlebox timeout); Call transparently retries exactly
+// once on a fresh connection when that happens. All IDES exchanges are
+// idempotent request/response pairs, so the single replay is safe.
 //
 // A Pool is safe for concurrent use. The zero value is not usable;
 // create with NewPool and release with Close.
@@ -112,18 +115,13 @@ type Pool struct {
 	vecs *poolVecs
 
 	// arena recycles the frame/decode scratch buffers Call hands to each
-	// checked-out connection. Buffers live here — not on parked idle
-	// connections — so an idle pool never pins payload-sized memory.
+	// exchange. Buffers live here — not on parked idle connections — so
+	// an idle pool never pins payload-sized memory.
 	arena wire.Arena
-
-	dials    atomic.Int64
-	reuses   atomic.Int64
-	retries  atomic.Int64
-	discards atomic.Int64
 }
 
-// pooledConn is one pool-owned connection: the raw conn, a small
-// fixed-size buffered reader that lives with it (so header+payload
+// pooledConn is one pool-owned lockstep connection: the raw conn, a
+// small fixed-size buffered reader that lives with it (so header+payload
 // replies cost one read syscall), and a decode/frame scratch buffer
 // attached only while the connection is checked out by Call. put and
 // discard release the scratch back to the pool arena, so a burst of
@@ -134,48 +132,30 @@ type pooledConn struct {
 	scratch []byte
 }
 
-// slotWaiter is one caller parked at the MaxPerHost cap. The waker
-// closes ch to wake exactly one waiter — targeted FIFO handoff, not a
-// broadcast — and sets slot when it is transferring a freed connection
-// slot (the slot stays counted in active and the woken caller owns it
-// outright, so a barging fast-path caller cannot steal it).
-type slotWaiter struct {
-	ch   chan struct{}
-	slot bool
-}
-
 // hostPool tracks one address's connections under the pool mutex: the
-// LIFO idle list of lockstep connections, the count of those in
-// existence (checked out + idle), which MaxPerHost bounds, the FIFO
-// queue of callers waiting at that cap, and the separate fixed set of
-// multiplexed connections.
+// LIFO idle list of lockstep connections and the set of multiplexed
+// connections. Only one of the two is ever used, per the pool's
+// discipline.
 type hostPool struct {
-	idle    []idleConn
-	active  int
-	waiters []*slotWaiter
-	// reapScheduled dedups the idle-reap timer: at most one is armed per
-	// host at a time.
-	reapScheduled bool
+	// idle is ordered oldest first, so the expired entries are always a
+	// prefix.
+	idle []idleConn
 
-	// mux is the set of live multiplexed connections (least-loaded pick;
+	// mux is the set of live multiplexed connections (fill-first pick;
 	// grown lazily up to PoolConfig.MuxConns). muxDialing dedups dials;
 	// muxWait, when non-nil, is closed as the in-progress dial resolves
-	// so callers with no live conn can park for it. muxUnsupported
-	// latches once the peer answers the Hello handshake with an error:
-	// from then on every call takes the v1 lockstep path directly.
-	mux            []*MuxConn
-	muxDialing     bool
-	muxWait        chan struct{}
-	muxUnsupported bool
+	// so callers with no live conn can park for it.
+	mux        []*MuxConn
+	muxDialing bool
+	muxWait    chan struct{}
 
-	// stats are this endpoint's own counters, feeding EndpointStats and
-	// the labelled metric children. The pool-global atomics stay the
-	// aggregate answer for Stats().
+	// stats are this endpoint's own counters, feeding EndpointStats,
+	// Stats and the labelled metric children.
 	stats hostStats
 	// mets caches this endpoint's labelled instrument children so the
 	// hot path increments an atomic instead of taking the vec's child
 	// lookup lock per call. Swapped atomically because counting happens
-	// outside p.mu on some paths; nil until RegisterMetrics.
+	// outside p.mu; nil until RegisterMetrics.
 	mets atomic.Pointer[endpointMetrics]
 }
 
@@ -195,7 +175,21 @@ func (hp *hostPool) m() *endpointMetrics {
 // Callers hold p.mu (the idle list is only mutated under it).
 func (hp *hostPool) syncIdleGauge() { hp.m().idle.Set(float64(len(hp.idle))) }
 
-// countDiscard records one dropped connection against the endpoint.
+func (hp *hostPool) countDial() {
+	hp.stats.dials.Add(1)
+	hp.m().dials.Inc()
+}
+
+func (hp *hostPool) countReuse() {
+	hp.stats.reuses.Add(1)
+	hp.m().reuses.Inc()
+}
+
+func (hp *hostPool) countRetry() {
+	hp.stats.retries.Add(1)
+	hp.m().retries.Inc()
+}
+
 func (hp *hostPool) countDiscard() {
 	hp.stats.discards.Add(1)
 	hp.m().discards.Inc()
@@ -247,8 +241,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 // Call performs one request/response exchange with the IDES peer at addr
 // over a pooled connection, with Roundtrip's semantics: a wire.Error
 // response is decoded and returned as an error (the connection is healthy
-// and goes back to the pool). If the context carries no deadline the
-// pool's CallTimeout applies.
+// and stays pooled). If the context carries no deadline the pool's
+// CallTimeout applies.
 func (p *Pool) Call(ctx context.Context, addr string, t wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
 	rt, rp, _, err := p.call(ctx, addr, t, payload, nil, true)
 	return rt, rp, err
@@ -263,53 +257,43 @@ func (p *Pool) CallInto(ctx context.Context, addr string, t wire.MsgType, payloa
 	return p.call(ctx, addr, t, payload, buf, false)
 }
 
-// call is the shared exchange loop. With copyOut set (Call) the scratch
-// buffer is the checked-out connection's arena-backed one and the reply
-// is copied into a fresh caller-owned slice before the connection — and
-// its scratch — go back to the pool; otherwise (CallInto) buf is the
-// caller's and the reply aliases it.
 // isWireError reports whether err is (or wraps) a wire.Error — an
-// application-level error frame from a healthy connection.
+// application-level error frame from a healthy connection. The test
+// lives in a helper so its errors.As target only materializes on the
+// error path: taking the target's address inline would heap-allocate it
+// on every successful call.
 func isWireError(err error) bool {
 	var werr *wire.Error
 	return errors.As(err, &werr)
 }
 
+// call applies the default deadline and runs the exchange under the
+// pool's discipline. With copyOut set (Call) the scratch buffer comes
+// from the pool arena and the reply is copied into a fresh caller-owned
+// slice before the scratch is recycled; otherwise (CallInto) buf is the
+// caller's and the reply aliases it.
 func (p *Pool) call(ctx context.Context, addr string, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, error) {
 	if _, ok := ctx.Deadline(); !ok && p.cfg.CallTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.cfg.CallTimeout)
 		defer cancel()
 	}
-	// direct is a connection the mux handshake dialed and then downgraded:
-	// the peer answered Hello with an error frame, so the conn is healthy
-	// and already slot-accounted — the lockstep loop below uses it for
-	// this call instead of dialing again.
-	var direct *pooledConn
-	if p.cfg.MuxConns >= 0 {
-		rt, rp, scratch, dc, handled, err := p.callMux(ctx, addr, t, payload, buf, copyOut)
-		if handled {
-			return rt, rp, scratch, err
-		}
-		buf = scratch
-		direct = dc
-		// Not handled: the peer predates mux framing — lockstep below.
+	if p.cfg.MuxConns < 0 {
+		return p.callLockstep(ctx, addr, t, payload, buf, copyOut)
 	}
+	return p.callMux(ctx, addr, t, payload, buf, copyOut)
+}
+
+// callLockstep performs the exchange over a checked-out v1 connection.
+func (p *Pool) callLockstep(ctx context.Context, addr string, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, error) {
 	for attempt := 0; ; attempt++ {
 		// The retry attempt must not pop another pooled connection: when
 		// one idle connection turns out dead its cohort (same server
 		// restart or idle eviction) almost certainly is too, so the
 		// replay flushes the idle list and dials fresh.
-		var pc *pooledConn
-		var reused bool
-		var err error
-		if direct != nil {
-			pc, direct = direct, nil
-		} else {
-			pc, reused, err = p.get(ctx, addr, attempt > 0)
-			if err != nil {
-				return 0, nil, buf, err
-			}
+		pc, hp, reused, err := p.get(ctx, addr, attempt > 0)
+		if err != nil {
+			return 0, nil, buf, err
 		}
 		scratch := buf
 		if copyOut {
@@ -326,9 +310,6 @@ func (p *Pool) call(ctx context.Context, addr string, t wire.MsgType, payload, b
 		} else {
 			buf = scratch
 		}
-		// The wire-error test lives in a helper so its errors.As target
-		// only materializes on the error path: taking the target's
-		// address here would heap-allocate it on every successful call.
 		if err == nil || isWireError(err) {
 			// The exchange completed (possibly with an application-level
 			// error frame); the connection stays good. The copy-out must
@@ -336,35 +317,28 @@ func (p *Pool) call(ctx context.Context, addr string, t wire.MsgType, payload, b
 			if copyOut && len(rp) > 0 {
 				rp = append([]byte(nil), rp...)
 			}
-			p.put(addr, pc)
+			p.put(hp, pc)
 			return rt, rp, buf, err
 		}
-		p.discard(addr, pc)
+		p.discard(hp, pc)
 		if reused && attempt == 0 && ctx.Err() == nil {
 			// The pooled connection most likely died while idle; one
 			// replay on a fresh connection.
-			p.countRetry(addr)
+			hp.countRetry()
 			continue
 		}
 		return 0, nil, buf, err
 	}
 }
 
-// callMux performs the exchange over a multiplexed connection when the
-// peer supports them. handled=false (with no error) means the caller
-// must run the lockstep path instead — either the peer is v1-only, or
-// the handshake died before an answer; a downgraded-but-healthy conn
-// rides along as direct for the lockstep path to use. A call that fails
-// because its mux connection died is replayed once on a fresh one,
-// mirroring the lockstep retry: all IDES exchanges are idempotent.
-func (p *Pool) callMux(ctx context.Context, addr string, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, *pooledConn, bool, error) {
+// callMux performs the exchange over a multiplexed connection. A call
+// that fails because its mux connection died is replayed once on a
+// fresh one, mirroring the lockstep retry.
+func (p *Pool) callMux(ctx context.Context, addr string, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, error) {
 	for attempt := 0; ; attempt++ {
-		mc, direct, hp, err := p.getMux(ctx, addr)
+		mc, hp, err := p.getMux(ctx, addr)
 		if err != nil {
-			return 0, nil, buf, nil, true, err
-		}
-		if mc == nil {
-			return 0, nil, buf, direct, false, nil
+			return 0, nil, buf, err
 		}
 		scratch := buf
 		if copyOut {
@@ -374,17 +348,15 @@ func (p *Pool) callMux(ctx context.Context, addr string, t wire.MsgType, payload
 		var rp []byte
 		rt, rp, scratch, err = mc.CallInto(ctx, t, payload, scratch)
 		if err == nil || isWireError(err) {
-			p.reuses.Add(1)
-			hp.stats.reuses.Add(1)
-			hp.m().reuses.Inc()
+			hp.countReuse()
 			if copyOut {
 				if len(rp) > 0 {
 					rp = append([]byte(nil), rp...)
 				}
 				p.arena.Put(scratch)
-				return rt, rp, buf, nil, true, err
+				return rt, rp, buf, err
 			}
-			return rt, rp, scratch, nil, true, err
+			return rt, rp, scratch, err
 		}
 		if copyOut {
 			p.arena.Put(scratch)
@@ -392,13 +364,13 @@ func (p *Pool) callMux(ctx context.Context, addr string, t wire.MsgType, payload
 			buf = scratch
 		}
 		if mc.Dead() {
-			p.dropMux(addr, mc)
+			p.dropMux(hp, mc)
 			if attempt == 0 && ctx.Err() == nil {
-				p.countRetry(addr)
+				hp.countRetry()
 				continue
 			}
 		}
-		return 0, nil, buf, nil, true, err
+		return 0, nil, buf, err
 	}
 }
 
@@ -406,27 +378,19 @@ func (p *Pool) callMux(ctx context.Context, addr string, t wire.MsgType, payload
 // the stream window, least-loaded past it — dialing the first one (or
 // a replacement after a failure) inline and growing the set in the
 // background once every existing connection is past the spill
-// threshold. mc == nil with a nil error means this call must take the
-// lockstep path; when the handshake just downgraded cleanly, the
-// healthy, slot-accounted connection is returned alongside for that
-// path to use.
-func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, *hostPool, error) {
+// threshold.
+func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *hostPool, error) {
 	p.mu.Lock()
 	hp := p.host(addr)
 	for {
 		if p.closed {
 			p.mu.Unlock()
-			return nil, nil, nil, errors.New("transport: pool is closed")
-		}
-		if hp.muxUnsupported {
-			p.mu.Unlock()
-			return nil, nil, hp, nil
+			return nil, nil, errPoolClosed
 		}
 		live := hp.mux[:0]
 		for _, mc := range hp.mux {
 			if mc.Dead() {
 				hp.countDiscard()
-				p.discards.Add(1)
 			} else {
 				live = append(live, mc)
 			}
@@ -453,10 +417,10 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, 
 		if best != nil {
 			if spill && len(hp.mux) < p.cfg.MuxConns && !hp.muxDialing {
 				hp.muxDialing = true
-				go p.addMuxConn(addr)
+				go p.addMuxConn(addr, hp)
 			}
 			p.mu.Unlock()
-			return best, nil, hp, nil
+			return best, hp, nil
 		}
 		if hp.muxDialing {
 			// Someone (inline or background) is already dialing; park
@@ -469,52 +433,28 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, 
 			select {
 			case <-ch:
 			case <-ctx.Done():
-				return nil, nil, nil, fmt.Errorf("transport: waiting for mux connection to %s: %w", addr, ctx.Err())
+				return nil, nil, fmt.Errorf("transport: waiting for mux connection to %s: %w", addr, ctx.Err())
 			}
 			p.mu.Lock()
 			continue
 		}
 		hp.muxDialing = true
 		p.mu.Unlock()
-		mc, dc, err := p.dialMux(ctx, addr, hp)
+		mc, err := p.dialMux(ctx, addr, hp)
 		p.mu.Lock()
 		p.muxDialDoneLocked(hp)
-		switch {
-		case err != nil:
+		if err != nil {
 			p.mu.Unlock()
-			return nil, nil, nil, err
-		case mc != nil:
-			if p.closed {
-				p.mu.Unlock()
-				mc.Close()
-				return nil, nil, nil, errors.New("transport: pool is closed")
-			}
-			hp.mux = append(hp.mux, mc)
-			p.mu.Unlock()
-			return mc, nil, hp, nil
-		case dc != nil:
-			// Clean downgrade: the peer is v1-only. Hand the healthy
-			// connection straight to this call's lockstep exchange when
-			// the accounting has room for it, so the probe dial is not
-			// wasted.
-			hp.muxUnsupported = true
-			if !p.closed && (p.cfg.MaxPerHost < 0 || hp.active < p.cfg.MaxPerHost) {
-				hp.active++
-				p.mu.Unlock()
-				return nil, dc, hp, nil
-			}
-			p.mu.Unlock()
-			dc.Close()
-			return nil, nil, hp, nil
-		default:
-			// The handshake died before an answer — a server that drops
-			// unknown frames, or a connection lost mid-probe. Fall back
-			// to lockstep for this call without latching: a real pre-mux
-			// IDES server answers with an error frame, so the next call
-			// probes again rather than losing mux forever to one flake.
-			p.mu.Unlock()
-			return nil, nil, hp, nil
+			return nil, nil, err
 		}
+		if p.closed {
+			p.mu.Unlock()
+			mc.Close()
+			return nil, nil, errPoolClosed
+		}
+		hp.mux = append(hp.mux, mc)
+		p.mu.Unlock()
+		return mc, hp, nil
 	}
 }
 
@@ -528,88 +468,64 @@ func (p *Pool) muxDialDoneLocked(hp *hostPool) {
 	}
 }
 
-// dialMux dials addr and negotiates mux framing. Outcomes: a live
-// MuxConn; a healthy lockstep connection when the peer answered the
-// probe with an error frame (clean v1 downgrade); all-nil when the
-// handshake failed without a clean answer (caller falls back to
-// lockstep without latching); or a dial error.
-func (p *Pool) dialMux(ctx context.Context, addr string, hp *hostPool) (*MuxConn, *pooledConn, error) {
+// dial opens a raw connection to addr and counts it.
+func (p *Pool) dial(ctx context.Context, addr string, hp *hostPool) (net.Conn, error) {
 	c, err := p.cfg.Dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
+		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
-	p.dials.Add(1)
-	hp.stats.dials.Add(1)
-	hp.m().dials.Inc()
-	mc, err := NewMuxConn(ctx, c, p.cfg.MuxMaxInflight)
-	if errors.Is(err, ErrMuxUnsupported) {
-		return nil, &pooledConn{Conn: c, br: bufio.NewReaderSize(c, 4096)}, nil
-	}
-	if err != nil {
-		c.Close()
-		if ctx.Err() != nil {
-			return nil, nil, fmt.Errorf("transport: mux handshake with %s: %w", addr, ctx.Err())
-		}
-		return nil, nil, nil
-	}
-	return mc, nil, nil
+	hp.countDial()
+	return c, nil
 }
 
-// addMuxConn grows addr's mux set by one connection in the background,
+// dialMux dials addr and negotiates mux framing. A refused or failed
+// handshake closes the connection and fails like a failed dial.
+func (p *Pool) dialMux(ctx context.Context, addr string, hp *hostPool) (*MuxConn, error) {
+	c, err := p.dial(ctx, addr, hp)
+	if err != nil {
+		return nil, err
+	}
+	mc, err := NewMuxConn(ctx, c, p.cfg.MuxMaxInflight)
+	if err != nil {
+		c.Close()
+		hp.countDiscard()
+		return nil, fmt.Errorf("transport: connecting to %s: %w", addr, err)
+	}
+	return mc, nil
+}
+
+// addMuxConn grows hp's mux set by one connection in the background,
 // so the growth dial never sits on a caller's latency. The caller set
 // hp.muxDialing before spawning.
-func (p *Pool) addMuxConn(addr string) {
+func (p *Pool) addMuxConn(addr string, hp *hostPool) {
 	ctx := context.Background()
 	if p.cfg.CallTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.cfg.CallTimeout)
 		defer cancel()
 	}
-	p.mu.Lock()
-	hp := p.hosts[addr]
-	p.mu.Unlock()
-	if hp == nil {
-		return
-	}
-	mc, dc, err := p.dialMux(ctx, addr, hp)
+	mc, err := p.dialMux(ctx, addr, hp)
 	p.mu.Lock()
 	p.muxDialDoneLocked(hp)
-	switch {
-	case err != nil:
-		p.mu.Unlock()
-	case mc != nil:
-		if p.closed || len(hp.mux) >= p.cfg.MuxConns {
-			p.mu.Unlock()
-			mc.Close()
-			return
-		}
+	keep := err == nil && !p.closed && len(hp.mux) < p.cfg.MuxConns
+	if keep {
 		hp.mux = append(hp.mux, mc)
-		p.mu.Unlock()
-	case dc != nil:
-		// The server stopped speaking mux mid-life (restarted as an
-		// older build); latch the downgrade and let the live mux conns
-		// die of natural causes.
-		hp.muxUnsupported = true
-		p.mu.Unlock()
-		dc.Close()
-	default:
-		p.mu.Unlock()
+	}
+	p.mu.Unlock()
+	if err == nil && !keep {
+		mc.Close()
 	}
 }
 
-// dropMux removes a dead mux connection from addr's set.
-func (p *Pool) dropMux(addr string, mc *MuxConn) {
+// dropMux removes a dead mux connection from hp's set.
+func (p *Pool) dropMux(hp *hostPool, mc *MuxConn) {
 	mc.Close()
 	p.mu.Lock()
-	hp := p.hosts[addr]
-	if hp != nil {
-		for i, c := range hp.mux {
-			if c == mc {
-				hp.mux = append(hp.mux[:i], hp.mux[i+1:]...)
-				hp.countDiscard()
-				p.discards.Add(1)
-				break
-			}
+	for i, c := range hp.mux {
+		if c == mc {
+			hp.mux = append(hp.mux[:i], hp.mux[i+1:]...)
+			hp.countDiscard()
+			break
 		}
 	}
 	p.mu.Unlock()
@@ -633,17 +549,18 @@ func (p *Pool) MuxStats() MuxStats {
 	return out
 }
 
-// Stats returns a snapshot of the pool's activity counters, aggregated
-// across all endpoints. EndpointStats breaks the same counters down per
-// server address.
+// Stats returns a snapshot of the pool's activity counters: the sum of
+// EndpointStats over every server address.
 func (p *Pool) Stats() PoolStats {
-	return PoolStats{
-		Dials:    p.dials.Load(),
-		Reuses:   p.reuses.Load(),
-		Retries:  p.retries.Load(),
-		Discards: p.discards.Load(),
-		Idle:     p.idleCount(),
+	var out PoolStats
+	for _, st := range p.EndpointStats() {
+		out.Dials += st.Dials
+		out.Reuses += st.Reuses
+		out.Retries += st.Retries
+		out.Discards += st.Discards
+		out.Idle += st.Idle
 	}
+	return out
 }
 
 // EndpointStats returns each endpoint's own counters, keyed by server
@@ -711,9 +628,9 @@ func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
 // ArenaStats reports the pool's scratch-buffer arena traffic.
 func (p *Pool) ArenaStats() wire.ArenaStats { return p.arena.Stats() }
 
-// Close closes every idle connection and marks the pool closed: future
-// Calls fail, waiters at the per-host cap give up, and checked-out
-// connections are closed as they come back. Safe to call twice.
+// Close closes every idle and multiplexed connection and marks the pool
+// closed: future Calls fail, and checked-out lockstep connections are
+// closed as they come back. Safe to call twice.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -724,14 +641,9 @@ func (p *Pool) Close() error {
 	for _, hp := range p.hosts {
 		for _, ic := range hp.idle {
 			ic.c.Close()
-			hp.active--
 		}
 		hp.idle = nil
 		hp.syncIdleGauge()
-		for _, w := range hp.waiters {
-			close(w.ch)
-		}
-		hp.waiters = nil
 		for _, mc := range hp.mux {
 			mc.Close()
 		}
@@ -755,169 +667,64 @@ func (p *Pool) host(addr string) *hostPool {
 	return hp
 }
 
-// wakeIdle wakes the longest-waiting caller, if any, to claim a newly
-// idle connection. No slot transfers: the parked connection still owns
-// its slot. Caller holds p.mu.
-func (hp *hostPool) wakeIdle() {
-	if len(hp.waiters) > 0 {
-		w := hp.waiters[0]
-		hp.waiters = hp.waiters[1:]
-		close(w.ch)
-	}
-}
-
-// releaseSlotLocked retires one per-host connection slot: if a caller is
-// queued at the cap the slot is handed to it directly — active stays
-// counted, so a fast-path caller arriving later cannot barge in front of
-// the queue — otherwise active is decremented. Caller holds p.mu.
-func (p *Pool) releaseSlotLocked(hp *hostPool) {
-	if !p.closed && len(hp.waiters) > 0 {
-		w := hp.waiters[0]
-		hp.waiters = hp.waiters[1:]
-		w.slot = true
-		close(w.ch)
-		return
-	}
-	hp.active--
-}
-
-// get returns a connection to addr: a pooled one when available (reused
-// = true), otherwise a fresh dial — waiting at the MaxPerHost cap for a
-// connection to go idle or close first. mustDial skips — and flushes —
-// the idle list: a retry after a dead pooled connection must not gamble
-// on the rest of the same cohort.
-func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *pooledConn, reused bool, err error) {
+// get checks out a lockstep connection to addr: the warmest idle one
+// when available (reused = true), otherwise a fresh dial. Idle
+// connections past IdleTimeout are closed on the way. mustDial closes
+// the whole idle list instead of reusing from it: a retry after a dead
+// pooled connection must not gamble on the rest of the same cohort.
+func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *pooledConn, hp *hostPool, reused bool, err error) {
 	p.mu.Lock()
-	hp := p.host(addr)
-	// granted marks that a waker handed this caller a connection slot
-	// directly (active already counts it).
-	granted := false
-	for {
-		if p.closed {
-			if granted {
-				hp.active--
-			}
-			p.mu.Unlock()
-			return nil, false, errors.New("transport: pool is closed")
-		}
-		// LIFO pop, skipping connections that already idled out: the
-		// warmest connection is the least likely to have been expired by
-		// the peer.
-		cutoff := time.Now().Add(-p.cfg.IdleTimeout)
-		for n := len(hp.idle); n > 0; n = len(hp.idle) {
-			ic := hp.idle[n-1]
-			hp.idle = hp.idle[:n-1]
-			hp.syncIdleGauge()
-			if mustDial || ic.since.Before(cutoff) {
-				p.releaseSlotLocked(hp)
-				hp.countDiscard()
-				p.mu.Unlock()
-				ic.c.Close()
-				p.discards.Add(1)
-				p.mu.Lock()
-				continue
-			}
-			if granted {
-				// Reusing a parked connection; pass the granted slot on.
-				p.releaseSlotLocked(hp)
-			}
-			p.mu.Unlock()
-			p.reuses.Add(1)
-			hp.stats.reuses.Add(1)
-			hp.m().reuses.Inc()
-			return ic.c, true, nil
-		}
-		if granted || p.cfg.MaxPerHost < 0 || hp.active < p.cfg.MaxPerHost {
-			if !granted {
-				hp.active++
-			}
-			break
-		}
-		if ctx.Err() != nil {
-			p.mu.Unlock()
-			return nil, false, fmt.Errorf("transport: waiting for a connection to %s: %w", addr, ctx.Err())
-		}
-		// Queue FIFO behind everyone already waiting; the waker hands
-		// each freed slot (or newly idle connection) to exactly one of
-		// us, oldest first.
-		w := &slotWaiter{ch: make(chan struct{})}
-		hp.waiters = append(hp.waiters, w)
+	if p.closed {
 		p.mu.Unlock()
-		select {
-		case <-w.ch:
-		case <-ctx.Done():
-		}
-		p.mu.Lock()
-		woken := true
-		for i, q := range hp.waiters {
-			if q == w {
-				hp.waiters = append(hp.waiters[:i], hp.waiters[i+1:]...)
-				woken = false
-				break
-			}
-		}
-		granted = woken && w.slot
-		if ctx.Err() != nil {
-			if granted {
-				p.releaseSlotLocked(hp)
-			}
-			p.mu.Unlock()
-			return nil, false, fmt.Errorf("transport: waiting for a connection to %s: %w", addr, ctx.Err())
-		}
+		return nil, nil, false, errPoolClosed
 	}
+	hp = p.host(addr)
+	cutoff := time.Now().Add(-p.cfg.IdleTimeout)
+	expired := 0
+	for expired < len(hp.idle) && (mustDial || hp.idle[expired].since.Before(cutoff)) {
+		expired++
+	}
+	// Later appends to the idle list write past its end, never into the
+	// dropped prefix, so stale stays readable after the unlock.
+	stale := hp.idle[:expired]
+	hp.idle = hp.idle[expired:]
+	if n := len(hp.idle); n > 0 {
+		conn = hp.idle[n-1].c
+		hp.idle = hp.idle[:n-1]
+	}
+	hp.syncIdleGauge()
 	p.mu.Unlock()
-
-	c, err := p.cfg.Dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		p.connClosed(hp)
-		return nil, false, fmt.Errorf("transport: dialing %s: %w", addr, err)
+	for _, ic := range stale {
+		ic.c.Close()
+		hp.countDiscard()
 	}
-	p.dials.Add(1)
-	hp.stats.dials.Add(1)
-	hp.m().dials.Inc()
-	return &pooledConn{Conn: c, br: bufio.NewReaderSize(c, 4096)}, false, nil
+	if conn != nil {
+		hp.countReuse()
+		return conn, hp, true, nil
+	}
+	c, err := p.dial(ctx, addr, hp)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return &pooledConn{Conn: c, br: bufio.NewReaderSize(c, 4096)}, hp, false, nil
 }
 
-// put returns a healthy connection to addr's idle list, or closes it when
+// put returns a healthy connection to hp's idle list, or closes it when
 // the pool is closed or the idle list is full. Either way the
 // connection's scratch buffer goes back to the arena first: parked idle
 // connections hold only the conn and its fixed 4 KiB read buffer, never
 // payload-sized decode scratch.
-func (p *Pool) put(addr string, conn *pooledConn) {
+func (p *Pool) put(hp *hostPool, conn *pooledConn) {
 	p.releaseScratch(conn)
 	p.mu.Lock()
-	hp := p.hosts[addr]
-	if hp == nil {
-		// Cannot happen via Call (get creates the entry), but fail safe.
-		p.mu.Unlock()
-		conn.Close()
-		return
-	}
 	if p.closed || len(hp.idle) >= p.cfg.MaxIdlePerHost {
-		p.releaseSlotLocked(hp)
-		hp.countDiscard()
 		p.mu.Unlock()
-		conn.Close()
-		p.discards.Add(1)
+		p.discard(hp, conn)
 		return
 	}
 	hp.idle = append(hp.idle, idleConn{c: conn, since: time.Now()})
 	hp.syncIdleGauge()
-	p.scheduleReapLocked(addr, hp)
-	hp.wakeIdle()
 	p.mu.Unlock()
-}
-
-// countRetry records one replayed call, globally and against addr.
-func (p *Pool) countRetry(addr string) {
-	p.retries.Add(1)
-	p.mu.Lock()
-	hp := p.hosts[addr]
-	p.mu.Unlock()
-	if hp != nil {
-		hp.stats.retries.Add(1)
-		hp.m().retries.Inc()
-	}
 }
 
 // releaseScratch detaches conn's scratch buffer, if any, and recycles it.
@@ -928,89 +735,11 @@ func (p *Pool) releaseScratch(conn *pooledConn) {
 	}
 }
 
-// discard closes a broken connection and releases its slot.
-func (p *Pool) discard(addr string, conn *pooledConn) {
+// discard closes a connection the pool will not keep.
+func (p *Pool) discard(hp *hostPool, conn *pooledConn) {
 	p.releaseScratch(conn)
 	conn.Close()
-	p.mu.Lock()
-	hp := p.hosts[addr]
-	p.mu.Unlock()
-	if hp != nil {
-		p.connClosed(hp)
-		hp.countDiscard()
-	}
-	p.discards.Add(1)
-}
-
-// connClosed releases one per-host connection slot, handing it to the
-// oldest queued waiter if any.
-func (p *Pool) connClosed(hp *hostPool) {
-	p.mu.Lock()
-	p.releaseSlotLocked(hp)
-	p.mu.Unlock()
-}
-
-// scheduleReapLocked arms a one-shot reap for addr's idle list. The pool
-// has no standing goroutine: a timer fires only while connections are
-// actually idling, and re-arms itself for the next-expiring one.
-func (p *Pool) scheduleReapLocked(addr string, hp *hostPool) {
-	if hp.reapScheduled || len(hp.idle) == 0 {
-		return
-	}
-	hp.reapScheduled = true
-	wait := time.Until(hp.idle[0].since.Add(p.cfg.IdleTimeout))
-	if wait < 0 {
-		wait = 0
-	}
-	time.AfterFunc(wait, func() { p.reap(addr) })
-}
-
-// reap closes addr's expired idle connections and re-arms the timer if
-// any remain.
-func (p *Pool) reap(addr string) {
-	p.mu.Lock()
-	hp := p.hosts[addr]
-	if hp == nil {
-		p.mu.Unlock()
-		return
-	}
-	hp.reapScheduled = false
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	cutoff := time.Now().Add(-p.cfg.IdleTimeout)
-	kept := hp.idle[:0]
-	var expired []net.Conn
-	for _, ic := range hp.idle {
-		if ic.since.Before(cutoff) {
-			expired = append(expired, ic.c)
-			p.releaseSlotLocked(hp)
-			hp.countDiscard()
-		} else {
-			kept = append(kept, ic)
-		}
-	}
-	hp.idle = kept
-	hp.syncIdleGauge()
-	p.scheduleReapLocked(addr, hp)
-	p.mu.Unlock()
-	for _, c := range expired {
-		c.Close()
-		p.discards.Add(int64(1))
-	}
-}
-
-// idleCount reports how many connections are currently idle across all
-// hosts (test hook).
-func (p *Pool) idleCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, hp := range p.hosts {
-		n += len(hp.idle)
-	}
-	return n
+	hp.countDiscard()
 }
 
 // idleScratchBytes sums the scratch capacity pinned by parked idle

@@ -49,7 +49,7 @@ func bulkServer(t *testing.T, n int) string {
 func TestPoolIdleConnsRetainNoScratch(t *testing.T) {
 	const replySize = 512 << 10
 	addr := bulkServer(t, replySize)
-	p := newTestPool(t, PoolConfig{})
+	p := newTestPool(t, PoolConfig{MuxConns: -1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 

@@ -48,7 +48,7 @@ func poolPing(t *testing.T, p *Pool, addr string, token uint64) {
 // connection failed as soon as the stale deadline passed.
 func TestRoundtripClearsStaleDeadline(t *testing.T) {
 	ln := testutil.Loopback(t)
-	testutil.EchoServer(t, ln)
+	testutil.MuxEchoServer(t, ln, 0)
 	d := &net.Dialer{}
 	conn, err := d.DialContext(context.Background(), "tcp", ln.Addr().String())
 	if err != nil {
@@ -85,18 +85,20 @@ func TestPoolReusesConnections(t *testing.T) {
 	if got := ln.Accepts(); got != 1 {
 		t.Fatalf("20 sequential pooled calls used %d connections, want 1", got)
 	}
+	// Every multiplexed call, the first included, is served over the
+	// pooled connection.
 	st := p.Stats()
-	if st.Dials != 1 || st.Reuses != 19 {
-		t.Fatalf("stats %+v, want 1 dial and 19 reuses", st)
+	if st.Dials != 1 || st.Reuses != 20 {
+		t.Fatalf("stats %+v, want 1 dial and 20 reuses", st)
 	}
 }
 
 func TestPoolConcurrentCalls(t *testing.T) {
-	// Hammer one pool from many goroutines (meaningful under -race) and
-	// check the per-host cap was respected.
-	const maxConns = 4
+	// Hammer one lockstep pool from many goroutines (meaningful under
+	// -race) and check the idle cap and the accounting.
+	const maxIdle = 4
 	ln, addr := testutil.CountingEcho(t)
-	p := newTestPool(t, PoolConfig{MaxPerHost: maxConns, MaxIdlePerHost: maxConns})
+	p := newTestPool(t, PoolConfig{MaxIdlePerHost: maxIdle, MuxConns: -1})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -108,12 +110,12 @@ func TestPoolConcurrentCalls(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := ln.Accepts(); got > maxConns {
-		t.Fatalf("pool opened %d connections, MaxPerHost is %d", got, maxConns)
-	}
 	st := p.Stats()
-	if st.Dials+st.Reuses != 16*25 {
-		t.Fatalf("stats %+v do not account for all %d calls", st, 16*25)
+	if st.Idle > maxIdle {
+		t.Fatalf("%d idle connections, MaxIdlePerHost is %d", st.Idle, maxIdle)
+	}
+	if st.Dials+st.Reuses != 16*25 || st.Dials != ln.Accepts() {
+		t.Fatalf("stats %+v with %d accepts do not account for all %d calls", st, ln.Accepts(), 16*25)
 	}
 }
 
@@ -160,7 +162,7 @@ func TestPoolRetriesDeadIdleConnection(t *testing.T) {
 			}(conn)
 		}
 	}()
-	p := newTestPool(t, PoolConfig{})
+	p := newTestPool(t, PoolConfig{MuxConns: -1})
 	poolPing(t, p, ln.Addr().String(), 1)
 	// Give the server's close time to land so the next call reuses a
 	// genuinely dead connection rather than winning the race.
@@ -171,22 +173,34 @@ func TestPoolRetriesDeadIdleConnection(t *testing.T) {
 	}
 }
 
-func TestPoolReapsIdleConnections(t *testing.T) {
-	_, addr := testutil.CountingEcho(t)
-	p := newTestPool(t, PoolConfig{IdleTimeout: 50 * time.Millisecond})
+func TestPoolIdleTimeoutClosesAtCheckout(t *testing.T) {
+	ln, addr := testutil.CountingEcho(t)
+	p := newTestPool(t, PoolConfig{IdleTimeout: 50 * time.Millisecond, MuxConns: -1})
 	poolPing(t, p, addr, 1)
-	if n := p.idleCount(); n != 1 {
+	if n := p.Stats().Idle; n != 1 {
 		t.Fatalf("%d idle connections after call, want 1", n)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.idleCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("idle connection was never reaped")
-		}
-		time.Sleep(10 * time.Millisecond)
+	time.Sleep(100 * time.Millisecond)
+	poolPing(t, p, addr, 2)
+	if got := ln.Accepts(); got != 2 {
+		t.Fatalf("%d connections opened, want the expired one replaced", got)
 	}
-	if st := p.Stats(); st.Discards != 1 {
-		t.Fatalf("stats %+v, want the reaped connection counted as a discard", st)
+	if st := p.Stats(); st.Discards != 1 || st.Reuses != 0 || st.Idle != 1 {
+		t.Fatalf("stats %+v, want the expired connection discarded, not reused", st)
+	}
+}
+
+func TestPoolDialsPerCallWithoutIdleList(t *testing.T) {
+	ln, addr := testutil.CountingEcho(t)
+	p := newTestPool(t, PoolConfig{MaxIdlePerHost: -1, MuxConns: -1})
+	for i := 0; i < 3; i++ {
+		poolPing(t, p, addr, uint64(i+1))
+	}
+	if got := ln.Accepts(); got != 3 {
+		t.Fatalf("3 calls opened %d connections, want one each", got)
+	}
+	if st := p.Stats(); st.Dials != 3 || st.Discards != 3 || st.Idle != 0 {
+		t.Fatalf("stats %+v, want every connection dialed and closed", st)
 	}
 }
 
@@ -196,7 +210,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 	ln := testutil.Loopback(t)
 	addr := ln.Addr().String()
 	tracking := &testutil.TrackingListener{Listener: ln}
-	testutil.EchoServer(t, tracking)
+	testutil.MuxEchoServer(t, tracking, 0)
 	p := newTestPool(t, PoolConfig{})
 	poolPing(t, p, addr, 1)
 
@@ -210,7 +224,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	t.Cleanup(func() { ln2.Close() })
-	testutil.EchoServer(t, ln2)
+	testutil.MuxEchoServer(t, ln2, 0)
 
 	// The pooled connection is dead; the call must recover via the
 	// single transparent retry against the restarted server.
@@ -255,8 +269,8 @@ func TestPoolAppliesDefaultCallTimeout(t *testing.T) {
 func TestPoolMaxIdleCapDiscardsSurplus(t *testing.T) {
 	// Finish several calls concurrently so more connections come back
 	// than the idle list may hold; the surplus must be closed.
-	ln, addr := testutil.CountingEcho(t)
-	p := newTestPool(t, PoolConfig{MaxIdlePerHost: 1, MaxPerHost: 8})
+	_, addr := testutil.CountingEcho(t)
+	p := newTestPool(t, PoolConfig{MaxIdlePerHost: 1, MuxConns: -1})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -266,22 +280,23 @@ func TestPoolMaxIdleCapDiscardsSurplus(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := p.idleCount(); n > 1 {
-		t.Fatalf("%d idle connections, MaxIdlePerHost is 1", n)
+	st := p.Stats()
+	if st.Idle != 1 {
+		t.Fatalf("%d idle connections, MaxIdlePerHost is 1", st.Idle)
 	}
-	if got := ln.Accepts(); got > 8 {
-		t.Fatalf("%d connections opened, MaxPerHost is 8", got)
+	if st.Discards != st.Dials-1 {
+		t.Fatalf("stats %+v: every connection but the idle one must be discarded", st)
 	}
 }
 
 func TestPoolClosedRefusesCalls(t *testing.T) {
 	_, addr := testutil.CountingEcho(t)
-	p := newTestPool(t, PoolConfig{})
+	p := newTestPool(t, PoolConfig{MuxConns: -1})
 	poolPing(t, p, addr, 1)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := p.idleCount(); n != 0 {
+	if n := p.Stats().Idle; n != 0 {
 		t.Fatalf("%d idle connections survived Close", n)
 	}
 	if _, _, err := p.Call(context.Background(), addr, wire.TypePing, (&wire.Ping{Token: 2}).Encode(nil)); err == nil {

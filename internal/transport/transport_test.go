@@ -16,7 +16,7 @@ import (
 
 func TestCallRoundTrip(t *testing.T) {
 	ln := testutil.Loopback(t)
-	testutil.EchoServer(t, ln)
+	testutil.MuxEchoServer(t, ln, 0)
 	d := &net.Dialer{}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -35,7 +35,7 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestCallDecodesRemoteError(t *testing.T) {
 	ln := testutil.Loopback(t)
-	testutil.EchoServer(t, ln)
+	testutil.MuxEchoServer(t, ln, 0)
 	d := &net.Dialer{}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -104,7 +104,7 @@ func TestRoundtripHonorsContextDeadline(t *testing.T) {
 
 func TestTCPPingerMeasures(t *testing.T) {
 	ln := testutil.Loopback(t)
-	testutil.EchoServer(t, ln)
+	testutil.MuxEchoServer(t, ln, 0)
 	p := &TCPPinger{Dialer: &net.Dialer{}}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -119,7 +119,7 @@ func TestTCPPingerMeasures(t *testing.T) {
 
 func TestTCPPingerZeroSamplesDefaultsToOne(t *testing.T) {
 	ln := testutil.Loopback(t)
-	testutil.EchoServer(t, ln)
+	testutil.MuxEchoServer(t, ln, 0)
 	p := &TCPPinger{Dialer: &net.Dialer{}}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

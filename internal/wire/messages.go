@@ -59,10 +59,9 @@ func (m *Error) Error() string {
 
 // Hello opens the transport feature negotiation on a fresh connection:
 // the client announces the highest framing version it speaks and how
-// many streams it would like in flight at once. It is always sent as a
-// v1 frame so a pre-mux server can parse the header; such a server
-// answers with a CodeUnknownType Error, which the client treats as a
-// downgrade to v1 lockstep framing on that connection.
+// many streams it would like in flight at once. It and its HelloAck are
+// always sent as v1 frames; a peer that does not answer with a v2
+// HelloAck fails the handshake.
 type Hello struct {
 	// MaxVersion is the highest frame version the sender supports.
 	MaxVersion uint8

@@ -79,10 +79,10 @@ const (
 	TypeQueryKNN     MsgType = 0x10
 	TypeNeighbors    MsgType = 0x11
 	// TypeHello/TypeHelloAck negotiate the v2 multiplexed framing on a
-	// fresh connection. A peer that predates them answers Hello with a
-	// CodeUnknownType Error, which the caller treats as a clean downgrade
-	// to v1 lockstep framing. Defined here (not with the replication
-	// types) so the constant block stays in wire order.
+	// fresh connection. Both travel in v1 frames; v2 starts with the
+	// frame after the HelloAck. Any other answer to Hello, an Error
+	// included, fails the connection. Defined here (not with the
+	// replication types) so the constant block stays in wire order.
 	TypeHello    MsgType = 0x15
 	TypeHelloAck MsgType = 0x16
 )
