@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/peer"
 	"github.com/ides-go/ides/internal/query"
 	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/testutil"
@@ -96,6 +97,55 @@ func pointQueryLoop(tb testing.TB, pool *transport.Pool, addr string, addrs []st
 	}
 }
 
+// gossipRoundLoop starts three loopback peers that know each other and
+// returns a closure running one gossip round of the first: a stub ping,
+// the exchange over its default multiplexed pool, the partner's serve
+// and step, and the local step. RendezvousEvery < 0 keeps the rounds
+// free of directory announcements.
+func gossipRoundLoop(tb testing.TB) func() {
+	tb.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	tb.Cleanup(cancel)
+	var peers []*peer.Peer
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		ln := testutil.Loopback(tb)
+		addr := ln.Addr().String()
+		p, err := peer.New(peer.Config{
+			Self:            addr,
+			Seed:            int64(i + 1),
+			RendezvousEvery: -1,
+			Dialer:          &net.Dialer{Timeout: 5 * time.Second},
+			Pinger:          testutil.StubPinger{RTT: 20 * time.Millisecond},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { p.Close() })
+		go p.Serve(ctx, ln) //nolint:errcheck
+		peers = append(peers, p)
+		addrs = append(addrs, addr)
+	}
+	for i, p := range peers {
+		for j, addr := range addrs {
+			if i != j {
+				p.AddNeighbor(addr)
+			}
+		}
+	}
+	// One round per peer fills every table with coordinates.
+	for _, p := range peers {
+		if err := p.GossipRound(ctx); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return func() {
+		if err := peers[0].GossipRound(ctx); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // TestPointQueryZeroAlloc is the CI allocation gate: after warmup, a
 // pooled point query — encode, framed send, server read, directory
 // lookup, dot product, framed reply, parse — costs zero heap
@@ -143,9 +193,9 @@ func indexedEngine(tb testing.TB, n, dim int) (*query.Engine, []string) {
 }
 
 // BenchmarkAllocs measures allocations per op layer by layer; run with
-// -benchmem. The wire, transport and engine point-query entries must
-// stay at 0 allocs/op — TestPointQueryZeroAlloc enforces the end-to-end
-// composition.
+// -benchmem. The wire, transport and engine point-query entries and the
+// gossip exchange must stay at 0 allocs/op — TestPointQueryZeroAlloc and
+// TestGossipRoundZeroAlloc enforce the end-to-end compositions.
 func BenchmarkAllocs(b *testing.B) {
 	b.Run("wire-encode-decode", func(b *testing.B) {
 		var buf []byte
@@ -237,6 +287,17 @@ func BenchmarkAllocs(b *testing.B) {
 			}
 		}
 	})
+	b.Run("gossip-exchange", func(b *testing.B) {
+		round := gossipRoundLoop(b)
+		for i := 0; i < 16; i++ {
+			round()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
 	b.Run("pool-point-query", func(b *testing.B) {
 		addr, addrs, pool := startAllocServer(b, 512, 8)
 		op := pointQueryLoop(b, pool, addr, addrs)
@@ -249,4 +310,22 @@ func BenchmarkAllocs(b *testing.B) {
 			op()
 		}
 	})
+}
+
+// TestGossipRoundZeroAlloc extends the gate to the landmark-free mode:
+// after warmup, a whole gossip round between loopback peers over the
+// default multiplexed pool — request encode, framed send, the partner's
+// parse, step, observe and reply, then the local parse, step and
+// observe — costs zero heap allocations across the process.
+func TestGossipRoundZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting changes under -race")
+	}
+	round := gossipRoundLoop(t)
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(256, round); allocs != 0 {
+		t.Fatalf("steady-state gossip round allocates %.1f times per op, want 0", allocs)
+	}
 }

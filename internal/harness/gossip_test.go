@@ -2,6 +2,10 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -175,5 +179,40 @@ func TestGossipPartitionHeal(t *testing.T) {
 	}
 	if after.Median > 0.30 || after.P90 > 1.0 {
 		t.Fatalf("post-heal accuracy median=%.4f p90=%.4f exceeds gates", after.Median, after.P90)
+	}
+}
+
+// goldenGossipDigest is the coordinate digest of a 64-peer, seed-1
+// fleet after 20 rounds. Same-seed tests compare two runs of the same
+// code; this value pins the arithmetic and the RNG draw order across
+// changes to the code itself, so an optimisation that reorders either
+// fails here. It must only change on purpose, with the reason recorded
+// in CHANGES.md.
+const goldenGossipDigest = "9a7f7e1657d929b0"
+
+// TestGossipGoldenDigest checks the fleet against goldenGossipDigest.
+func TestGossipGoldenDigest(t *testing.T) {
+	g, err := NewGossip(GossipConfig{NumPeers: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for r := 0; r < 20; r++ {
+		if _, err := g.GossipRound(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, row := range g.Coordinates() {
+		for _, v := range row {
+			binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != goldenGossipDigest {
+		t.Fatalf("coordinate digest %s, want %s: the gossip arithmetic or RNG order changed", got, goldenGossipDigest)
 	}
 }

@@ -11,6 +11,13 @@
 // no server round-trip: est(i,j) = (x_i·y_j + x_j·y_i)/2 from cached or
 // freshly fetched coordinates.
 //
+// Over a pooled connection a steady-state exchange allocates nothing.
+// Both sides parse into a per-peer wire.GossipView under the peer's
+// lock; the serving side encodes its pre-step rows into the reply
+// before it steps; neighbor-table entries own copies of the rows they
+// cache, so no view outlives its next parse; and request, reply and
+// frame buffers come from a shared wire.Arena.
+//
 // The central server is reduced to an optional rendezvous directory
 // (server -role rendezvous): peers announce themselves to it and
 // receive warm peer samples to bootstrap and re-mix their neighbor
@@ -129,12 +136,37 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// arena recycles the request, reply and frame buffers of every peer's
+// exchanges and serve loops. One arena serves the whole process: a
+// simulated fleet runs thousands of peers, and per-peer arenas would
+// each rebuild their pool after every garbage collection.
+var arena wire.Arena
+
 // neighbor is one table entry: the last coordinate rows seen for an
-// address (empty until a first exchange or sample carries them) and the
-// entry's position in the deterministic iteration order.
+// address and the entry's position in the deterministic iteration
+// order. The entry owns its rows: row is a 2·Dim buffer that observed
+// coordinates are copied into, and out and in are its halves, nil until
+// a first exchange or sample carries coordinates. Evicted entries keep
+// their buffer on the peer's free list for the next address.
 type neighbor struct {
+	row     []float64
 	out, in []float64
 	idx     int
+}
+
+// set copies rows of the table's dimension into the entry. Rows of any
+// other length are ignored: a sample entry without coordinates must not
+// blind the estimator.
+func (n *neighbor) set(out, in []float64, dim int) {
+	if len(out) != dim || len(in) != dim {
+		return
+	}
+	if n.row == nil {
+		n.row = make([]float64, 2*dim)
+	}
+	copy(n.row[:dim], out)
+	copy(n.row[dim:], in)
+	n.out, n.in = n.row[:dim:dim], n.row[dim:]
 }
 
 // Peer is one decentralized host: its own coordinate rows plus a
@@ -154,13 +186,20 @@ type Peer struct {
 	initX []float64
 	initY []float64
 	table map[string]*neighbor
-	order []string // table keys in insertion order; rng indexes into it
+	order []string    // table keys in insertion order; rng indexes into it
+	free  []*neighbor // evicted entries, reused with their row buffers
 	rng   *rand.Rand
 	round uint64
 	churn uint64
 	// lastStep is the most recent relative step magnitude — the
 	// telemetry drift signal per exchange.
 	lastStep float64
+
+	// sample is sampleLocked's result, reused from call to call.
+	sample []wire.LandmarkVec
+	// serveView and replyView are the parse targets of served requests
+	// and of replies.
+	serveView, replyView wire.GossipView
 }
 
 // New builds a Peer. Coordinates initialize to seeded random values
@@ -307,29 +346,44 @@ func (p *Peer) Announce(ctx context.Context) error {
 	}
 	p.mu.Lock()
 	addr := p.cfg.RendezvousAddrs[int(p.round)%len(p.cfg.RendezvousAddrs)]
-	req := wire.GossipExchange{
-		From:      p.cfg.Self,
-		Out:       p.x,
-		In:        p.y,
-		RTTMillis: -1,
-		Peers:     p.sampleLocked(p.cfg.SampleSize, addr),
-	}
-	payload := req.Encode(nil)
 	p.mu.Unlock()
-	respT, resp, err := p.pool.Call(ctx, addr, wire.TypeGossipExchange, payload)
+	resp, scratch, err := p.call(ctx, addr, -1, true)
+	if err == nil {
+		p.mu.Lock()
+		rep := &p.replyView
+		if err = rep.ParseReply(resp); err == nil {
+			for _, s := range rep.Peers {
+				p.observeViewLocked(s.Addr, s.Out, s.In)
+			}
+		}
+		p.mu.Unlock()
+	}
+	arena.Put(scratch)
 	if err != nil {
 		return fmt.Errorf("peer: rendezvous %s: %w", addr, err)
 	}
-	rep, err := decodeReply(respT, resp)
-	if err != nil {
-		return fmt.Errorf("peer: rendezvous %s: %w", addr, err)
-	}
-	p.mu.Lock()
-	for _, s := range rep.Peers {
-		p.observeLocked(s.Addr, s.Out, s.In)
-	}
-	p.mu.Unlock()
 	return nil
+}
+
+// call sends addr a GossipExchange carrying this peer's rows, the
+// measured RTT (negative for none) and, when sample is set, a sample of
+// the neighbor table. It returns the GossipReply payload, which aliases
+// scratch; the caller parses it and then hands scratch back to the
+// arena, on error too.
+func (p *Peer) call(ctx context.Context, addr string, rtt float64, sample bool) (resp, scratch []byte, err error) {
+	p.mu.Lock()
+	req := wire.GossipExchange{From: p.cfg.Self, Out: p.x, In: p.y, RTTMillis: rtt}
+	if sample {
+		req.Peers = p.sampleLocked(p.cfg.SampleSize, addr)
+	}
+	payload := req.Encode(arena.Get(0))
+	p.mu.Unlock()
+	respT, resp, scratch, err := p.pool.CallInto(ctx, addr, wire.TypeGossipExchange, payload, arena.Get(0))
+	arena.Put(payload)
+	if err == nil && respT != wire.TypeGossipReply {
+		err = fmt.Errorf("unexpected response type %v", respT)
+	}
+	return resp, scratch, err
 }
 
 // exchangeWith runs the measure + exchange + step half-round against
@@ -342,29 +396,31 @@ func (p *Peer) exchangeWith(ctx context.Context, target string) error {
 		return fmt.Errorf("peer: ping %s: %w", target, err)
 	}
 	ms := float64(rtt) / float64(time.Millisecond)
-	p.mu.Lock()
-	req := wire.GossipExchange{
-		From:      p.cfg.Self,
-		Out:       p.x,
-		In:        p.y,
-		RTTMillis: ms,
-		Peers:     p.sampleLocked(p.cfg.SampleSize, target),
+	resp, scratch, err := p.call(ctx, target, ms, true)
+	if err == nil {
+		p.mu.Lock()
+		err = p.applyReplyLocked(target, ms, resp)
+		p.mu.Unlock()
 	}
-	payload := req.Encode(nil)
-	p.mu.Unlock()
-	respT, resp, err := p.pool.Call(ctx, target, wire.TypeGossipExchange, payload)
+	arena.Put(scratch)
 	if err != nil {
 		p.dropNeighbor(target)
 		p.metrics.failure()
 		return fmt.Errorf("peer: exchange with %s: %w", target, err)
 	}
-	rep, err := decodeReply(respT, resp)
-	if err != nil {
-		p.dropNeighbor(target)
-		p.metrics.failure()
-		return fmt.Errorf("peer: exchange with %s: %w", target, err)
+	p.metrics.exchange("out")
+	return nil
+}
+
+// applyReplyLocked parses target's GossipReply payload and folds it in:
+// the DMFSGD step against the partner's rows for the measured RTT ms,
+// then the partner and its peer sample into the neighbor table.
+// Callers hold p.mu.
+func (p *Peer) applyReplyLocked(target string, ms float64, payload []byte) error {
+	rep := &p.replyView
+	if err := rep.ParseReply(payload); err != nil {
+		return err
 	}
-	p.mu.Lock()
 	if len(rep.Out) == p.cfg.Dim && len(rep.In) == p.cfg.Dim {
 		// rep carries the partner's pre-step rows, so this step and the
 		// partner's own (against our pre-step rows) commute.
@@ -373,10 +429,8 @@ func (p *Peer) exchangeWith(ctx context.Context, target string) error {
 		p.observeLocked(target, rep.Out, rep.In)
 	}
 	for _, s := range rep.Peers {
-		p.observeLocked(s.Addr, s.Out, s.In)
+		p.observeViewLocked(s.Addr, s.Out, s.In)
 	}
-	p.mu.Unlock()
-	p.metrics.exchange("out")
 	return nil
 }
 
@@ -399,72 +453,76 @@ func (p *Peer) Estimate(ctx context.Context, addr string) (float64, error) {
 	if est, ok := p.EstimateLocal(addr); ok {
 		return est, nil
 	}
-	p.mu.Lock()
-	req := wire.GossipExchange{From: p.cfg.Self, Out: p.x, In: p.y, RTTMillis: -1}
-	payload := req.Encode(nil)
-	p.mu.Unlock()
-	respT, resp, err := p.pool.Call(ctx, addr, wire.TypeGossipExchange, payload)
+	resp, scratch, err := p.call(ctx, addr, -1, false)
+	defer arena.Put(scratch)
 	if err != nil {
 		return 0, fmt.Errorf("peer: fetch coordinates from %s: %w", addr, err)
 	}
-	rep, err := decodeReply(respT, resp)
-	if err != nil {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	rep := &p.replyView
+	if err := rep.ParseReply(resp); err != nil {
 		return 0, fmt.Errorf("peer: fetch coordinates from %s: %w", addr, err)
 	}
 	if len(rep.Out) != p.cfg.Dim || len(rep.In) != p.cfg.Dim {
 		return 0, fmt.Errorf("peer: %s has no coordinates (dim %d vs %d)", addr, len(rep.Out), p.cfg.Dim)
 	}
-	p.mu.Lock()
 	p.observeLocked(addr, rep.Out, rep.In)
-	est := solve.PeerEstimate(p.x, p.y, rep.Out, rep.In)
-	p.mu.Unlock()
-	return est, nil
-}
-
-// decodeReply validates and parses a gossip response frame.
-func decodeReply(t wire.MsgType, payload []byte) (*wire.GossipReply, error) {
-	switch t {
-	case wire.TypeGossipReply:
-		return wire.DecodeGossipReply(payload)
-	case wire.TypeError:
-		if e, err := wire.DecodeError(payload); err == nil {
-			return nil, e
-		}
-		return nil, fmt.Errorf("undecodable error frame")
-	default:
-		return nil, fmt.Errorf("unexpected response type %v", t)
-	}
+	return solve.PeerEstimate(p.x, p.y, rep.Out, rep.In), nil
 }
 
 // observeLocked records an address and (optionally) its coordinate
-// rows, evicting a random entry when the table is full. Empty rows
-// never overwrite cached ones — a sample entry without coordinates
-// must not blind the estimator. Callers hold p.mu.
+// rows, evicting a random entry when the table is full. The table keeps
+// copies: the rows may alias a buffer the caller reuses. Rows of the
+// wrong length are ignored — a sample entry without coordinates must
+// not blind the estimator. Callers hold p.mu.
 func (p *Peer) observeLocked(addr string, out, in []float64) {
 	if addr == "" || addr == p.cfg.Self {
 		return
 	}
-	if n := p.table[addr]; n != nil {
-		if len(out) == p.cfg.Dim && len(in) == p.cfg.Dim {
-			n.out, n.in = out, in
+	n := p.table[addr]
+	if n == nil {
+		if len(p.order) >= p.cfg.MaxNeighbors {
+			p.evictLocked(p.rng.Intn(len(p.order)))
 		}
-		return
+		if k := len(p.free); k > 0 {
+			n = p.free[k-1]
+			p.free = p.free[:k-1]
+		} else {
+			n = &neighbor{}
+		}
+		n.idx = len(p.order)
+		p.table[addr] = n
+		p.order = append(p.order, addr)
 	}
-	if len(p.order) >= p.cfg.MaxNeighbors {
-		p.evictLocked(p.rng.Intn(len(p.order)))
+	n.set(out, in, p.cfg.Dim)
+}
+
+// observeViewLocked is observeLocked for an address that aliases a
+// parsed payload. It returns the address as the table holds it (empty
+// for this peer's own address), and allocates only when the address
+// enters the table. Callers hold p.mu.
+func (p *Peer) observeViewLocked(addr []byte, out, in []float64) string {
+	if n := p.table[string(addr)]; n != nil {
+		n.set(out, in, p.cfg.Dim)
+		return p.order[n.idx]
 	}
-	n := &neighbor{idx: len(p.order)}
-	if len(out) == p.cfg.Dim && len(in) == p.cfg.Dim {
-		n.out, n.in = out, in
+	if len(addr) == 0 || string(addr) == p.cfg.Self {
+		return ""
 	}
-	p.table[addr] = n
-	p.order = append(p.order, addr)
+	key := string(addr)
+	p.observeLocked(key, out, in)
+	return key
 }
 
 // evictLocked removes the entry at position i in the order slice by
-// swap-delete, keeping iteration order deterministic.
+// swap-delete, keeping iteration order deterministic, and keeps the
+// entry for reuse.
 func (p *Peer) evictLocked(i int) {
 	addr := p.order[i]
+	n := p.table[addr]
+	n.out, n.in = nil, nil
+	p.free = append(p.free, n)
 	last := len(p.order) - 1
 	p.order[i] = p.order[last]
 	p.table[p.order[i]].idx = i
@@ -485,23 +543,33 @@ func (p *Peer) dropNeighbor(addr string) {
 
 // sampleLocked draws up to k distinct table entries (excluding one
 // address) with their cached coordinates, for the exchange's peer
-// sample. Callers hold p.mu.
+// sample. The result aliases the table and is reused by the next call:
+// encode it before the lock is released. Callers hold p.mu.
 func (p *Peer) sampleLocked(k int, exclude string) []wire.LandmarkVec {
+	p.sample = p.sample[:0]
 	if len(p.order) == 0 || k <= 0 {
-		return nil
+		return p.sample
 	}
-	seen := make(map[string]bool, k)
-	out := make([]wire.LandmarkVec, 0, k)
-	for attempts := 0; len(out) < k && attempts < 2*k; attempts++ {
+	for attempts := 0; len(p.sample) < k && attempts < 2*k; attempts++ {
 		addr := p.order[p.rng.Intn(len(p.order))]
-		if addr == exclude || seen[addr] {
+		if addr == exclude || sampled(p.sample, addr) {
 			continue
 		}
-		seen[addr] = true
 		n := p.table[addr]
-		out = append(out, wire.LandmarkVec{Addr: addr, Out: n.out, In: n.in})
+		p.sample = append(p.sample, wire.LandmarkVec{Addr: addr, Out: n.out, In: n.in})
 	}
-	return out
+	return p.sample
+}
+
+// sampled reports whether addr is already in the sample; samples hold
+// a handful of entries, so a scan beats a set.
+func sampled(sample []wire.LandmarkVec, addr string) bool {
+	for _, s := range sample {
+		if s.Addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // noteStepLocked records an applied update's relative magnitude.

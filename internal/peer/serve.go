@@ -51,10 +51,17 @@ func (p *Peer) Serve(ctx context.Context, ln net.Listener) error {
 // Hello. Dispatch stays sequential either way — a peer's rows are one
 // shared resource, so there is nothing to parallelize per connection —
 // but after the upgrade many requests can be in flight and responses
-// carry their stream IDs back.
+// carry their stream IDs back. The read scratch, response and frame
+// buffers come from the package arena and go back when the connection
+// ends, so a fleet that dials per exchange recycles them.
 func (p *Peer) serveConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
-	var scratch, out []byte
+	scratch, resp, out := arena.Get(0), arena.Get(0), arena.Get(0)
+	defer func() {
+		conn.Close()
+		arena.Put(scratch)
+		arena.Put(resp)
+		arena.Put(out)
+	}()
 	mux := false
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(p.cfg.IdleTimeout)); err != nil {
@@ -74,22 +81,21 @@ func (p *Peer) serveConn(ctx context.Context, conn net.Conn) {
 		// HelloAck still goes out in v1, and v2 starts with the next frame.
 		replyMux := mux
 		var respT wire.MsgType
-		var resp []byte
 		if t == wire.TypeHello {
 			hello, err := wire.DecodeHello(payload)
 			if err != nil || hello.MaxVersion < wire.VersionMux {
-				respT, resp = errPayload(wire.CodeBadRequest, "malformed or downlevel Hello")
+				respT, resp = errPayload(resp[:0], wire.CodeBadRequest, "malformed or downlevel Hello")
 			} else {
 				window := uint32(muxWindow)
 				if hello.MaxInflight != 0 && hello.MaxInflight < window {
 					window = hello.MaxInflight
 				}
 				ack := wire.HelloAck{Version: wire.VersionMux, MaxInflight: window}
-				respT, resp = wire.TypeHelloAck, ack.Encode(nil)
+				respT, resp = wire.TypeHelloAck, ack.Encode(resp[:0])
 				mux = true
 			}
 		} else {
-			respT, resp = p.dispatch(t, payload)
+			respT, resp = p.dispatch(t, payload, resp[:0])
 		}
 		if replyMux {
 			out = wire.AppendMuxFrame(out[:0], respT, stream, resp)
@@ -105,62 +111,56 @@ func (p *Peer) serveConn(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// dispatch answers one request frame.
-func (p *Peer) dispatch(t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+// dispatch answers one request frame, appending the response payload
+// to dst.
+func (p *Peer) dispatch(t wire.MsgType, payload, dst []byte) (wire.MsgType, []byte) {
 	switch t {
 	case wire.TypePing:
-		ping, err := wire.DecodePing(payload)
+		tok, err := wire.PingToken(payload)
 		if err != nil {
-			return errPayload(wire.CodeBadRequest, err.Error())
+			return errPayload(dst, wire.CodeBadRequest, err.Error())
 		}
-		return wire.TypePong, (&wire.Pong{Token: ping.Token}).Encode(nil)
+		return wire.TypePong, (&wire.Pong{Token: tok}).Encode(dst)
 	case wire.TypeGossipExchange:
-		ex, err := wire.DecodeGossipExchange(payload)
-		if err != nil {
-			return errPayload(wire.CodeBadRequest, err.Error())
-		}
-		rep := p.handleExchange(ex)
-		return wire.TypeGossipReply, rep.Encode(nil)
+		return p.handleExchange(payload, dst)
 	default:
-		return errPayload(wire.CodeUnknownType, "peer: unsupported message type "+t.String())
+		return errPayload(dst, wire.CodeUnknownType, "peer: unsupported message type "+t.String())
 	}
 }
 
-// handleExchange is the serving half of a gossip round: answer with
-// this peer's pre-step rows, fold the partner's measurement into our
-// own rows when one was taken, and merge the partner plus its sample
-// into the neighbor table.
-func (p *Peer) handleExchange(ex *wire.GossipExchange) *wire.GossipReply {
+// handleExchange is the serving half of a gossip round: parse the
+// GossipExchange payload, answer with this peer's pre-step rows, fold
+// the partner's measurement into our own rows when one was taken, and
+// merge the partner plus its sample into the neighbor table. The reply
+// payload is appended to dst.
+func (p *Peer) handleExchange(payload, dst []byte) (wire.MsgType, []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rep := &wire.GossipReply{
-		// Copies, not aliases: PeerStep mutates p.x/p.y in place below,
-		// and the reply must carry the pre-step rows.
-		Out: append([]float64(nil), p.x...),
-		In:  append([]float64(nil), p.y...),
+	ex := &p.serveView
+	if err := ex.ParseExchange(payload); err != nil {
+		return errPayload(dst, wire.CodeBadRequest, err.Error())
 	}
 	// NaN fails the >= 0 check; infinities are rejected explicitly — a
 	// hostile frame must not inject a non-finite measurement.
-	if ex.RTTMillis >= 0 && !math.IsInf(ex.RTTMillis, 1) &&
-		len(ex.Out) == p.cfg.Dim && len(ex.In) == p.cfg.Dim {
+	apply := ex.RTTMillis >= 0 && !math.IsInf(ex.RTTMillis, 1) &&
+		len(ex.Out) == p.cfg.Dim && len(ex.In) == p.cfg.Dim
+	// The reply carries the pre-step rows, so they are encoded before
+	// PeerStep mutates p.x/p.y in place.
+	dst = wire.AppendGossipReplyHead(dst, apply, p.x, p.y)
+	if apply {
 		step := solve.PeerStep(p.x, p.y, ex.Out, ex.In, ex.RTTMillis, p.sgd, p.clamp)
 		p.noteStepLocked(step)
-		rep.Applied = true
 	}
-	if len(ex.Out) == p.cfg.Dim && len(ex.In) == p.cfg.Dim {
-		p.observeLocked(ex.From, ex.Out, ex.In)
-	} else {
-		p.observeLocked(ex.From, nil, nil)
-	}
+	from := p.observeViewLocked(ex.From, ex.Out, ex.In)
 	for _, s := range ex.Peers {
-		p.observeLocked(s.Addr, s.Out, s.In)
+		p.observeViewLocked(s.Addr, s.Out, s.In)
 	}
-	rep.Peers = p.sampleLocked(p.cfg.SampleSize, ex.From)
+	dst = wire.AppendPeerSample(dst, p.sampleLocked(p.cfg.SampleSize, from))
 	p.metrics.exchange("in")
-	return rep
+	return wire.TypeGossipReply, dst
 }
 
-// errPayload builds an Error frame payload.
-func errPayload(code uint16, text string) (wire.MsgType, []byte) {
-	return wire.TypeError, (&wire.Error{Code: code, Text: text}).Encode(nil)
+// errPayload appends an Error frame payload to dst.
+func errPayload(dst []byte, code uint16, text string) (wire.MsgType, []byte) {
+	return wire.TypeError, (&wire.Error{Code: code, Text: text}).Encode(dst)
 }

@@ -106,6 +106,10 @@ type conn struct {
 	out           *endpoint // the peer's inbox — what Write delivers into
 
 	readMu sync.Mutex // serializes Read
+	// readTimer fires a blocked Read's deadline. It is created by the
+	// first Read that blocks under a deadline and re-armed by later
+	// ones; readMu guards it.
+	readTimer *time.Timer
 
 	sendMu      sync.Mutex
 	lastDeliver time.Time // FIFO clamp: later writes never arrive earlier
@@ -289,21 +293,26 @@ func (c *conn) Read(p []byte) (int, error) {
 		rd := c.readDeadline
 		c.dlMu.Unlock()
 		var timeout <-chan time.Time
-		var timer *time.Timer
 		if !rd.IsZero() {
 			if !time.Now().Before(rd) {
 				return 0, c.opError("read", os.ErrDeadlineExceeded)
 			}
-			timer = time.NewTimer(time.Until(rd))
-			timeout = timer.C
+			// Reset and Stop leave no stale tick in the channel (Go 1.23
+			// timer semantics), so the timer is safe to re-arm.
+			if c.readTimer == nil {
+				c.readTimer = time.NewTimer(time.Until(rd))
+			} else {
+				c.readTimer.Reset(time.Until(rd))
+			}
+			timeout = c.readTimer.C
 		}
 		select {
 		case <-in.readable:
 		case <-timeout:
 		case <-c.closed:
 		}
-		if timer != nil {
-			timer.Stop()
+		if timeout != nil {
+			c.readTimer.Stop()
 		}
 	}
 }

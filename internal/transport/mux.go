@@ -404,12 +404,15 @@ func (c *MuxConn) writeLoop() {
 		c.pendingFrames = 0
 		c.wmu.Unlock()
 
-		_, err := c.conn.Write(buf)
+		// Counted before the Write: a reply can reach its caller before
+		// this goroutine runs again, and Stats read after a call returns
+		// must include the call's frame.
 		c.flushes.Add(1)
 		c.frames.Add(frames)
 		if frames > 1 {
 			c.coalesced.Add(frames)
 		}
+		_, err := c.conn.Write(buf)
 		if err != nil {
 			c.teardown(fmt.Errorf("transport: mux write: %w", err))
 			return

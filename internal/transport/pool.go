@@ -110,6 +110,10 @@ type Pool struct {
 	mu     sync.Mutex
 	hosts  map[string]*hostPool
 	closed bool
+	// retired holds the counters of host entries deleted once they held
+	// no connections and no callers, so Stats stays exact while hosts
+	// only lists the endpoints in use.
+	retired PoolStats
 	// vecs, once RegisterMetrics runs, are the per-endpoint labelled
 	// families new hostPools resolve their cached children from.
 	vecs *poolVecs
@@ -119,6 +123,10 @@ type Pool struct {
 	// an idle pool never pins payload-sized memory.
 	arena wire.Arena
 }
+
+// readers recycles the lockstep connections' 4 KiB buffered readers: a
+// dial-per-call pool would otherwise allocate one per call.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4096) }}
 
 // pooledConn is one pool-owned lockstep connection: the raw conn, a
 // small fixed-size buffered reader that lives with it (so header+payload
@@ -137,6 +145,11 @@ type pooledConn struct {
 // connections. Only one of the two is ever used, per the pool's
 // discipline.
 type hostPool struct {
+	// users counts the calls in flight on this endpoint, under p.mu; an
+	// entry with users, connections or a dial in progress is never
+	// deleted.
+	users int
+
 	// idle is ordered oldest first, so the expired entries are always a
 	// prefix.
 	idle []idleConn
@@ -278,20 +291,61 @@ func (p *Pool) call(ctx context.Context, addr string, t wire.MsgType, payload, b
 		ctx, cancel = context.WithTimeout(ctx, p.cfg.CallTimeout)
 		defer cancel()
 	}
-	if p.cfg.MuxConns < 0 {
-		return p.callLockstep(ctx, addr, t, payload, buf, copyOut)
+	hp, err := p.acquire(addr)
+	if err != nil {
+		return 0, nil, buf, err
 	}
-	return p.callMux(ctx, addr, t, payload, buf, copyOut)
+	defer p.release(addr, hp)
+	if p.cfg.MuxConns < 0 {
+		return p.callLockstep(ctx, addr, hp, t, payload, buf, copyOut)
+	}
+	return p.callMux(ctx, addr, hp, t, payload, buf, copyOut)
+}
+
+// acquire returns addr's host entry, creating it on first use, and
+// counts the caller as one of its users until release.
+func (p *Pool) acquire(addr string) (*hostPool, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil, errPoolClosed
+	}
+	hp := p.hosts[addr]
+	if hp == nil {
+		hp = &hostPool{}
+		if p.vecs != nil {
+			p.vecs.resolve(addr, hp)
+		}
+		p.hosts[addr] = hp
+	}
+	hp.users++
+	return hp, nil
+}
+
+// release ends a call's use of hp. An entry left with no users, no
+// connections, no dial in progress and no metric children is deleted,
+// its counters folded into the pool's retired totals: a dial-per-call
+// pool that talks to ever new addresses must not keep one entry per
+// address it ever called.
+func (p *Pool) release(addr string, hp *hostPool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	hp.users--
+	if hp.users > 0 || len(hp.idle) > 0 || len(hp.mux) > 0 || hp.muxDialing || hp.mets.Load() != nil {
+		return
+	}
+	p.retired.add(hp.snapshot())
+	delete(p.hosts, addr)
 }
 
 // callLockstep performs the exchange over a checked-out v1 connection.
-func (p *Pool) callLockstep(ctx context.Context, addr string, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, error) {
+func (p *Pool) callLockstep(ctx context.Context, addr string, hp *hostPool, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, error) {
 	for attempt := 0; ; attempt++ {
 		// The retry attempt must not pop another pooled connection: when
 		// one idle connection turns out dead its cohort (same server
 		// restart or idle eviction) almost certainly is too, so the
 		// replay flushes the idle list and dials fresh.
-		pc, hp, reused, err := p.get(ctx, addr, attempt > 0)
+		pc, reused, err := p.get(ctx, addr, hp, attempt > 0)
 		if err != nil {
 			return 0, nil, buf, err
 		}
@@ -334,9 +388,9 @@ func (p *Pool) callLockstep(ctx context.Context, addr string, t wire.MsgType, pa
 // callMux performs the exchange over a multiplexed connection. A call
 // that fails because its mux connection died is replayed once on a
 // fresh one, mirroring the lockstep retry.
-func (p *Pool) callMux(ctx context.Context, addr string, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, error) {
+func (p *Pool) callMux(ctx context.Context, addr string, hp *hostPool, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, error) {
 	for attempt := 0; ; attempt++ {
-		mc, hp, err := p.getMux(ctx, addr)
+		mc, err := p.getMux(ctx, addr, hp)
 		if err != nil {
 			return 0, nil, buf, err
 		}
@@ -379,13 +433,12 @@ func (p *Pool) callMux(ctx context.Context, addr string, t wire.MsgType, payload
 // a replacement after a failure) inline and growing the set in the
 // background once every existing connection is past the spill
 // threshold.
-func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *hostPool, error) {
+func (p *Pool) getMux(ctx context.Context, addr string, hp *hostPool) (*MuxConn, error) {
 	p.mu.Lock()
-	hp := p.host(addr)
 	for {
 		if p.closed {
 			p.mu.Unlock()
-			return nil, nil, errPoolClosed
+			return nil, errPoolClosed
 		}
 		live := hp.mux[:0]
 		for _, mc := range hp.mux {
@@ -420,7 +473,7 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *hostPool, er
 				go p.addMuxConn(addr, hp)
 			}
 			p.mu.Unlock()
-			return best, hp, nil
+			return best, nil
 		}
 		if hp.muxDialing {
 			// Someone (inline or background) is already dialing; park
@@ -433,7 +486,7 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *hostPool, er
 			select {
 			case <-ch:
 			case <-ctx.Done():
-				return nil, nil, fmt.Errorf("transport: waiting for mux connection to %s: %w", addr, ctx.Err())
+				return nil, fmt.Errorf("transport: waiting for mux connection to %s: %w", addr, ctx.Err())
 			}
 			p.mu.Lock()
 			continue
@@ -445,16 +498,16 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *hostPool, er
 		p.muxDialDoneLocked(hp)
 		if err != nil {
 			p.mu.Unlock()
-			return nil, nil, err
+			return nil, err
 		}
 		if p.closed {
 			p.mu.Unlock()
 			mc.Close()
-			return nil, nil, errPoolClosed
+			return nil, errPoolClosed
 		}
 		hp.mux = append(hp.mux, mc)
 		p.mu.Unlock()
-		return mc, hp, nil
+		return mc, nil
 	}
 }
 
@@ -549,39 +602,54 @@ func (p *Pool) MuxStats() MuxStats {
 	return out
 }
 
-// Stats returns a snapshot of the pool's activity counters: the sum of
-// EndpointStats over every server address.
+// Stats returns a snapshot of the pool's activity counters since
+// creation: the sum of EndpointStats over the live endpoints plus the
+// totals of the endpoints retired since.
 func (p *Pool) Stats() PoolStats {
-	var out PoolStats
-	for _, st := range p.EndpointStats() {
-		out.Dials += st.Dials
-		out.Reuses += st.Reuses
-		out.Retries += st.Retries
-		out.Discards += st.Discards
-		out.Idle += st.Idle
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := p.retired
+	for _, hp := range p.hosts {
+		out.add(hp.snapshot())
 	}
 	return out
+}
+
+func (s *PoolStats) add(o PoolStats) {
+	s.Dials += o.Dials
+	s.Reuses += o.Reuses
+	s.Retries += o.Retries
+	s.Discards += o.Discards
+	s.Idle += o.Idle
 }
 
 // EndpointStats returns each endpoint's own counters, keyed by server
 // address. A multi-server client pools connections to several endpoints
 // at once; the aggregate Stats hides which endpoint is churning
 // (redialing, discarding) while the others hum, which is exactly what
-// failover debugging needs to see.
+// failover debugging needs to see. Only live endpoints are listed: an
+// endpoint that holds no connections and has no call in flight is
+// retired (unless RegisterMetrics has given it labelled children), and
+// its counters then count only in Stats.
 func (p *Pool) EndpointStats() map[string]PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[string]PoolStats, len(p.hosts))
 	for addr, hp := range p.hosts {
-		out[addr] = PoolStats{
-			Dials:    hp.stats.dials.Load(),
-			Reuses:   hp.stats.reuses.Load(),
-			Retries:  hp.stats.retries.Load(),
-			Discards: hp.stats.discards.Load(),
-			Idle:     len(hp.idle),
-		}
+		out[addr] = hp.snapshot()
 	}
 	return out
+}
+
+// snapshot reads hp's counters. Callers hold p.mu.
+func (hp *hostPool) snapshot() PoolStats {
+	return PoolStats{
+		Dials:    hp.stats.dials.Load(),
+		Reuses:   hp.stats.reuses.Load(),
+		Retries:  hp.stats.retries.Load(),
+		Discards: hp.stats.discards.Load(),
+		Idle:     len(hp.idle),
+	}
 }
 
 // RegisterMetrics exposes the pool's counters through reg under the
@@ -653,32 +721,17 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// host returns addr's hostPool, creating it on first use. Caller holds
-// p.mu.
-func (p *Pool) host(addr string) *hostPool {
-	hp := p.hosts[addr]
-	if hp == nil {
-		hp = &hostPool{}
-		if p.vecs != nil {
-			p.vecs.resolve(addr, hp)
-		}
-		p.hosts[addr] = hp
-	}
-	return hp
-}
-
 // get checks out a lockstep connection to addr: the warmest idle one
 // when available (reused = true), otherwise a fresh dial. Idle
 // connections past IdleTimeout are closed on the way. mustDial closes
 // the whole idle list instead of reusing from it: a retry after a dead
 // pooled connection must not gamble on the rest of the same cohort.
-func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *pooledConn, hp *hostPool, reused bool, err error) {
+func (p *Pool) get(ctx context.Context, addr string, hp *hostPool, mustDial bool) (conn *pooledConn, reused bool, err error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, nil, false, errPoolClosed
+		return nil, false, errPoolClosed
 	}
-	hp = p.host(addr)
 	cutoff := time.Now().Add(-p.cfg.IdleTimeout)
 	expired := 0
 	for expired < len(hp.idle) && (mustDial || hp.idle[expired].since.Before(cutoff)) {
@@ -695,18 +748,19 @@ func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *poole
 	hp.syncIdleGauge()
 	p.mu.Unlock()
 	for _, ic := range stale {
-		ic.c.Close()
-		hp.countDiscard()
+		p.discard(hp, ic.c)
 	}
 	if conn != nil {
 		hp.countReuse()
-		return conn, hp, true, nil
+		return conn, true, nil
 	}
 	c, err := p.dial(ctx, addr, hp)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	return &pooledConn{Conn: c, br: bufio.NewReaderSize(c, 4096)}, hp, false, nil
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(c)
+	return &pooledConn{Conn: c, br: br}, false, nil
 }
 
 // put returns a healthy connection to hp's idle list, or closes it when
@@ -735,10 +789,14 @@ func (p *Pool) releaseScratch(conn *pooledConn) {
 	}
 }
 
-// discard closes a connection the pool will not keep.
+// discard closes a connection the pool will not keep and recycles its
+// reader.
 func (p *Pool) discard(hp *hostPool, conn *pooledConn) {
 	p.releaseScratch(conn)
 	conn.Close()
+	conn.br.Reset(nil)
+	readers.Put(conn.br)
+	conn.br = nil
 	hp.countDiscard()
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -307,5 +308,37 @@ func TestPoolClosedRefusesCalls(t *testing.T) {
 func TestNewPoolRequiresDialer(t *testing.T) {
 	if _, err := NewPool(PoolConfig{}); err == nil {
 		t.Fatal("NewPool without a Dialer must fail")
+	}
+}
+
+// redirectDialer dials one fixed address whatever address it is asked
+// for, so a test can call many distinct endpoints served by one server.
+type redirectDialer struct{ to string }
+
+func (d redirectDialer) DialContext(ctx context.Context, network, _ string) (net.Conn, error) {
+	var nd net.Dialer
+	return nd.DialContext(ctx, network, d.to)
+}
+
+// TestPoolRetiresUnusedEndpoints: a dial-per-call pool keeps no entry
+// for an endpoint once its call is over, and Stats still counts every
+// dial the retired entries made.
+func TestPoolRetiresUnusedEndpoints(t *testing.T) {
+	_, addr := testutil.CountingEcho(t)
+	p := newTestPool(t, PoolConfig{Dialer: redirectDialer{to: addr}, MaxIdlePerHost: -1, MuxConns: -1})
+	for i := 0; i < 1000; i++ {
+		poolPing(t, p, fmt.Sprintf("peer-%d", i), uint64(i+1))
+	}
+	p.mu.Lock()
+	n := len(p.hosts)
+	p.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d host entries left after 1000 one-off calls, want 0", n)
+	}
+	if st := p.Stats(); st.Dials != 1000 || st.Discards != 1000 || st.Idle != 0 {
+		t.Fatalf("stats %+v, want 1000 dials, 1000 discards, 0 idle", st)
+	}
+	if eps := p.EndpointStats(); len(eps) != 0 {
+		t.Fatalf("EndpointStats lists retired endpoints: %v", eps)
 	}
 }

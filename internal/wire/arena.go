@@ -23,7 +23,10 @@ const arenaMaxRetain = 1 << 20
 // package stays dependency-free; owners bridge them into a telemetry
 // registry with CounterFuncs.
 type Arena struct {
-	pool                      sync.Pool // of *[]byte
+	pool sync.Pool // of *[]byte holding a buffer
+	// boxes recycles the *[]byte holders Get empties, so Put boxes a
+	// buffer without allocating.
+	boxes                     sync.Pool // of empty *[]byte
 	hits, misses, puts, drops atomic.Uint64
 }
 
@@ -41,6 +44,8 @@ type ArenaStats struct {
 func (a *Arena) Get(n int) []byte {
 	if p, _ := a.pool.Get().(*[]byte); p != nil {
 		if b := *p; cap(b) >= n {
+			*p = nil
+			a.boxes.Put(p)
 			a.hits.Add(1)
 			return b[:0]
 		}
@@ -66,8 +71,12 @@ func (a *Arena) Put(b []byte) {
 		return
 	}
 	a.puts.Add(1)
-	b = b[:0]
-	a.pool.Put(&b)
+	p, _ := a.boxes.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	*p = b[:0]
+	a.pool.Put(p)
 }
 
 // Stats returns a snapshot of the arena's counters.
